@@ -47,6 +47,7 @@ from .preimage import (
     preimage_list,
     represent,
     sierpinski_witness,
+    sigma_values,
 )
 from .totient import (
     PhiValue,
@@ -103,6 +104,7 @@ __all__ = [
     "sierpinski_witness",
     "sigma",
     "sigma_exponents",
+    "sigma_values",
     "signature",
     "__version__",
 ]

@@ -12,8 +12,9 @@ totient evaluations is a genuine check and not a tautology.
 
 from __future__ import annotations
 
-from .gfpoly import FieldSpec, Poly, enumerate_monic
-from .totient import Signature, phi
+from .gfpoly import FieldSpec, Poly
+from .preimage import phi_table
+from .totient import Signature
 
 
 def same_phi(a: Signature, b: Signature, spec: FieldSpec) -> bool:
@@ -39,13 +40,12 @@ def _counts_from(sig: Signature, d_min: int) -> dict[int, int]:
 def phi_classes(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """Partition monic polynomials of degree 1..max_deg by exact phi value.
 
-    Lists keep the enumeration order (degree, then coefficient codes), so
-    output is deterministic.
+    A fresh copy of ``preimage.phi_table``: lists keep the enumeration order
+    (degree, then coefficient codes), so output is deterministic.
     """
     if max_deg < 1:
         raise ValueError(f"max_deg must be >= 1, got {max_deg}")
-    classes: dict[int, list[Poly]] = {}
-    for d in range(1, max_deg + 1):
-        for f in enumerate_monic(spec, d):
-            classes.setdefault(phi(f).value, []).append(f)
-    return classes
+    return {
+        value: list(polys)
+        for value, polys in phi_table(spec, max_deg).items()
+    }

@@ -18,9 +18,12 @@ GUARD = 1e-9
 #: Trial-division ceiling before Pollard rho takes over.
 TRIAL_LIMIT = 10**6
 
-# Deterministic Miller-Rabin witnesses, exact for n < 3.3e24 (covers every
-# integer this package is meant for; inputs are desk-scale by design).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes.  The least strong pseudoprime
+# to all of them is _PSI13 (Sorenson & Webster, Math. Comp. 86 (2017)), so
+# below it the test is exact; from there on a strong Lucas test completes
+# Baillie-PSW, which no known composite passes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 _trial_primes: list[int] | None = None
 
@@ -34,8 +37,57 @@ def _primes_to(limit: int) -> list[int]:
     return [i for i, fl in enumerate(sieve) if fl]
 
 
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0.
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test, Selfridge parameters (Baillie &
+    Wagstaff, Math. Comp. 35 (1980)); n odd, > 41 and free of small factors."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v: int) -> int:
+        return (v if v % 2 == 0 else v + n) // 2 % n
+
+    U, V, Qk = 0, 2, 1  # U_k, V_k, Q^k at k = 0
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for desk-scale integers."""
+    """Primality: exact below _PSI13, Baillie-PSW above it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -54,7 +106,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI13 or _strong_lucas(n)
 
 
 def _brent_factor(n: int) -> int:

@@ -5,8 +5,11 @@ written q**j * prod (q**d - 1)**m_d with m_d <= pi_q(d) and j expressible as
 sum d*j_d restricted to degrees with m_d >= 1.  ``represent`` recovers the
 canonical factored witnesses, ``preimage_count`` turns one into the exact
 number of monic preimages, and ``preimage_list`` is the independent
-brute-force oracle: enumerate monic polynomials up to a proven degree bound
-and keep those whose totient literally equals n.
+brute-force oracle: every monic polynomial up to a proven degree bound,
+bucketed by its totient, keeping those whose totient literally equals n.
+The oracle never factors: ``sieve`` builds each monic from its prime
+factors by unique factorization and reads phi and sigma off the
+construction, trusting only polynomial multiplication.
 
 Canonical forms per field size:
 
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb, log, prod
+from typing import Iterator, NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly, enumerate_monic
-from .totient import phi
+from .numtheory import GUARD
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,17 @@ class CountProfile:
     n: int
     count: int
     label: str
+
+
+class SieveEntry(NamedTuple):
+    """One monic f from ``sieve``: its smallest prime factor P, the cofactor
+    f / P (None when f = P is irreducible), sigma(f) and phi(f)."""
+
+    poly: Poly
+    smallest: Poly
+    cofactor: Poly | None
+    sigma: int
+    phi: int
 
 
 def _compositions_feasible(j: int, degrees) -> bool:
@@ -230,43 +245,146 @@ def min_phi(spec: FieldSpec, degree: int) -> int:
 def degree_bound(n: int, spec: FieldSpec) -> int:
     """Largest degree any monic preimage of n can have.
 
-    Walks min_phi upward and stops after three consecutive degrees whose
-    minimum exceeds n; the per-degree growth factor of the minimum makes a
-    later dip impossible, the margin covers small-degree flat spots.
+    Every monic f of degree D has phi(f) = |f| prod_{P | f} (1 - 1/|P|)
+    >= L(D) = q**D prod_{d <= D} (1 - q**-d)**pi_q(d), since f has at most
+    pi_q(d) distinct prime divisors of degree d and every factor is below 1.
+    L never decreases for D >= 1: by Bernoulli's inequality and
+    (D+1) pi_q(D+1) <= q**(D+1),
+
+        L(D+1) / L(D) = q (1 - q**-(D+1))**pi_q(D+1) >= q D / (D+1) >= 1.
+
+    So once L(D) > n, no monic of degree >= D has totient n.  Below that
+    degree min_phi(d) is the exact minimum of phi over degree d, and the
+    bound is the largest such d with min_phi(d) <= n.  The walk sums a
+    lower bound on log L, using log(1 - x) >= -x / (1 - x), and stops only
+    with a margin of GUARD, so neither the bound nor rounding can stop it
+    early; they can only delay the stop.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    q = spec.q
+    log_n = log(n)
+    log_q = log(q)
+    log_l = 0.0
     last_ok = 0
-    misses = 0
     d = 0
-    while misses < 3:
+    while True:
         d += 1
+        # log(1 - q**-d) >= -1 / (q**d - 1); the ratio never underflows
+        log_l += log_q - spec.pi(d) / (q**d - 1)
+        if log_l - log_n > GUARD * max(1.0, log_n):
+            return last_ok
         if _min_phi(spec, d) <= n:
             last_ok = d
-            misses = 0
-        else:
-            misses += 1
-    return last_ok
 
 
-@lru_cache(maxsize=None)
-def _phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
-    table: dict[int, list[Poly]] = {}
+def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
+    """Every monic of degree 1..max_deg in enumeration order, built from its
+    prime factors by a sieve over unique factorization in F_q[x].
+
+    Irreducibles are indexed in (degree, coefficient codes) order.  Degree
+    by degree, each reducible f is reached exactly once, as P * g with P its
+    smallest prime factor: P has degree <= d/2 and an index no larger than
+    that of g's smallest factor.  A monic that no product reaches is
+    irreducible.  Every monic carries the index of its smallest factor P,
+    |P|**e for the exact power P**e dividing it, sigma and phi.  With P**e
+    exactly dividing g (e = 0 when P does not divide g), the recurrences
+
+        phi(P g) = phi(g) |P|        if P | g, else phi(g) (|P| - 1)
+        sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
+
+    give the values without ``factor``, the Rabin test or any counting
+    formula; the only arithmetic trusted is ``Poly.__mul__``.  Two
+    invariants are checked as each degree is built, and raise
+    CounterexampleError: no monic is reached twice, and degree d has exactly
+    pi_q(d) irreducibles.
+    """
+    if max_deg < 0:
+        raise ValueError(f"max_deg must be >= 0, got {max_deg}")
+    q = spec.q
+    irreducibles: list[Poly] = []
+    # Monics of each degree below max_deg and their states, in enumeration
+    # order; a monic's position there is its tail read as base-q digits.
+    polys: list[list[Poly]] = [[]]
+    states: list[list[tuple | None]] = [[]]
     for d in range(1, max_deg + 1):
-        for f in enumerate_monic(spec, d):
-            table.setdefault(phi(f).value, []).append(f)
-    return table
+        level_states: list[tuple | None] = [None] * q**d
+        for i, small in enumerate(irreducibles):
+            e = small.degree
+            if 2 * e > d:
+                break
+            size = q**e
+            for g, (gi, gpp, gsig, gphi, _) in zip(polys[d - e], states[d - e]):
+                if gi < i:
+                    continue
+                if gi == i:  # small already divides g: one more power
+                    pp = gpp * size
+                    state = (i, pp, gsig * (pp * size - 1) // (pp - 1),
+                             gphi * size, g)
+                else:
+                    state = (i, size, gsig * (size + 1), gphi * (size - 1), g)
+                product = (small * g).coeffs
+                if len(product) != d + 1 or product[-1] != 1:
+                    raise CounterexampleError(
+                        f"sieve over F_{q}: ({small})*({g}) is not a monic "
+                        f"of degree {d}")
+                pos = 0
+                for c in product[:-1]:
+                    pos = pos * q + c
+                if level_states[pos] is not None:
+                    raise CounterexampleError(
+                        f"sieve over F_{q} reached {spec.poly(product)} twice")
+                level_states[pos] = state
+        level: list[Poly] = []
+        size = q**d
+        found = 0
+        for pos, f in enumerate(enumerate_monic(spec, d)):
+            state = level_states[pos]
+            if state is None:
+                state = (len(irreducibles), size, size + 1, size - 1, None)
+                irreducibles.append(f)
+                found += 1
+            if d < max_deg:
+                level.append(f)
+                level_states[pos] = state
+            else:
+                level_states[pos] = None  # never a cofactor: free it now
+            yield SieveEntry(f, irreducibles[state[0]], state[4], state[2],
+                             state[3])
+        if found != spec.pi(d):
+            raise CounterexampleError(
+                f"sieve over F_{q} found {found} irreducibles of degree {d}, "
+                f"pi_q({d}) = {spec.pi(d)}")
+        polys.append(level)
+        states.append(level_states)
+
+
+# One build is cached: the erdos suite reads phi and sigma from the same
+# build, and a larger cache only raises peak memory for the tables it keeps.
+@lru_cache(maxsize=1)
+def _sieve_tables(spec: FieldSpec, max_deg: int):
+    table: dict[int, list[Poly]] = {}
+    sigmas: set[int] = set()
+    for entry in sieve(spec, max_deg):
+        table.setdefault(entry.phi, []).append(entry.poly)
+        sigmas.add(entry.sigma)
+    return table, frozenset(sigmas)
 
 
 def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """Bucket every monic polynomial of degree 1..max_deg by exact phi value.
 
-    Cached per (field, degree); treat the result as read-only.  Lists are in
-    enumeration order, i.e. sorted by (degree, coefficient codes).
+    Built by ``sieve``, never by factoring.  The last build is cached;
+    treat the result as read-only.  Lists are in enumeration order, i.e.
+    sorted by (degree, coefficient codes).
     """
-    if max_deg < 0:
-        raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-    return _phi_table(spec, max_deg)
+    return _sieve_tables(spec, max_deg)[0]
+
+
+def sigma_values(spec: FieldSpec, max_deg: int) -> frozenset[int]:
+    """sigma(g) over every monic g of degree 1..max_deg, from the same
+    sieve build (and cache) as phi_table."""
+    return _sieve_tables(spec, max_deg)[1]
 
 
 def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:

@@ -1,6 +1,13 @@
 """Self-verification suites: every headline counting statement checked
 against an independent brute-force computation at full desk scale.
 
+The brute-force side of the preimage, erdos and density suites is
+``preimage.phi_table`` and ``preimage.sigma_values``: one sieve build per
+field and degree that constructs every monic from its prime factors and
+reads phi and sigma off the construction, without calling ``factor``.  The
+collision suite still evaluates ``signature`` and ``phi`` through ``factor``
+on every monic pair it compares.
+
 Each suite returns a list of CheckResult rows; the CLI prints them and turns
 any failure into a nonzero exit.  Budgets shrink the sweeps for quick runs;
 the defaults are the full verification grids.
@@ -55,18 +62,6 @@ _FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
 def _spec(q: int) -> FieldSpec:
     p, s = _FIELDS[q]
     return FieldSpec(p, s)
-
-
-def _sigma_values_up_to(spec: FieldSpec, y: int) -> set[int]:
-    out = set()
-    d = 1
-    while spec.q**d <= y:
-        for g in enumerate_monic(spec, d):
-            value = totient.sigma(g)
-            if value <= y:
-                out.add(value)
-        d += 1
-    return out
 
 
 def _oracle_phi_values(spec: FieldSpec, y: int) -> set[int]:
@@ -191,7 +186,13 @@ def suite_erdos(budgets: Budgets = Budgets()) -> list[CheckResult]:
     for q, default_y in ((5, 10**4), (3, 10**3), (2, 10**3)):
         spec = _spec(q)
         y = budgets.cap_y(default_y)
-        both = sorted(_oracle_phi_values(spec, y) & _sigma_values_up_to(spec, y))
+        # One sieve build holds both value sets: degree_bound(y) >=
+        # floor(log_q y), and sigma(g) >= |g| puts every sigma value <= y
+        # at a degree <= floor(log_q y).
+        max_deg = preimage.degree_bound(y, spec)
+        phi_values = preimage.phi_table(spec, max_deg)
+        sigma_values = preimage.sigma_values(spec, max_deg)
+        both = sorted(v for v in phi_values if v <= y and v in sigma_values)
         claimed = erdos.intersection_up_to(y, spec)
         ok = both == claimed
         results.append(CheckResult(

@@ -208,6 +208,12 @@ class TestUsageErrors:
         code, _, err = run(capsys, "phi", "--p", "4", "--poly", "x")
         assert code == 2
 
+    def test_strong_pseudoprime_characteristic(self, capsys):
+        # psi_12 passes Miller-Rabin to the twelve prime bases 2..37
+        code, _, err = run(
+            capsys, "pi", "--p", "318665857834031151167461", "--d", "1")
+        assert code == 2 and "prime" in err
+
     def test_constant_poly_rejected(self, capsys):
         code, _, err = run(capsys, "phi", "--p", "2", "--poly", "1")
         assert code == 2

@@ -71,6 +71,42 @@ class TestFactorInt:
         assert nt.factor_int(p * q) == {p: 1, q: 1}
 
 
+class TestIsPrime:
+    PSI12 = 318665857834031151167461  # = 399165290221 * 798330580441
+    PSI13 = 3317044064679887385961981
+
+    def test_agrees_with_prime_sieve(self):
+        sieve = nt._primes_to(20000)
+        assert [n for n in range(20001) if nt.is_prime(n)] == sieve
+
+    def test_strong_pseudoprimes_to_the_first_prime_bases(self):
+        # the least strong pseudoprimes to bases 2..37 and to bases 2..41
+        assert self.PSI12 == 399165290221 * 798330580441
+        assert not nt.is_prime(self.PSI12)
+        assert not nt.is_prime(self.PSI13)
+
+    def test_lucas_catches_what_miller_rabin_passes(self):
+        # PSI13 passes all 13 Miller-Rabin bases; only the Lucas half of
+        # Baillie-PSW rejects it
+        assert not nt._strong_lucas(self.PSI13)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the smallest strong Lucas pseudoprimes (Selfridge parameters);
+        # Miller-Rabin base 2 rejects every one of them
+        pseudo = [n for n in range(43, 30000, 2)
+                  if nt.factor_int(n) != {n: 1} and nt._strong_lucas(n)]
+        assert pseudo == [5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                          25199]
+        assert not any(nt.is_prime(n) for n in pseudo)
+
+    def test_large_primes_and_products(self):
+        mersenne = [2**k - 1 for k in (89, 107, 127, 521)]
+        assert all(nt.is_prime(m) for m in mersenne)
+        assert not nt.is_prime(mersenne[0] * mersenne[1])
+        assert not nt.is_prime(mersenne[2] ** 2)
+        assert not nt.is_prime(2**128 + 1)
+
+
 class TestPrimitivePrimeDivisors:
     def test_exception_values(self):
         assert nt.primitive_prime_divisors(2, 6) == set()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fqphi import (
@@ -103,6 +105,34 @@ class TestDegreeBound:
         assert degree_bound(1, F2) == 2
         assert degree_bound(3, F2) == 4
         assert degree_bound(4, F5) == 1
+
+    @staticmethod
+    def three_miss_bound(n, spec):
+        # the earlier heuristic: stop after three consecutive degrees whose
+        # minimum totient exceeds n
+        last_ok = misses = d = 0
+        while misses < 3:
+            d += 1
+            if min_phi(spec, d) <= n:
+                last_ok, misses = d, 0
+            else:
+                misses += 1
+        return last_ok
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (3, 2)])
+    def test_proven_rule_matches_three_miss_rule(self, field):
+        spec = FieldSpec(*field)
+        rng = random.Random(spec.q)
+        ns = set(range(1, 200)) | {10**k for k in range(31)}
+        ns |= {rng.randrange(1, 10 ** rng.randint(1, 30)) for _ in range(60)}
+        d = 1
+        while min_phi(spec, d) <= 10**30:  # both sides of every step
+            m = min_phi(spec, d)
+            ns |= {m - 1, m, m + 1}
+            d += 1
+        for n in sorted(n for n in ns if 1 <= n <= 10**30):
+            assert degree_bound(n, spec) == self.three_miss_bound(n, spec), n
 
     def test_min_phi_values(self, F2):
         assert min_phi(F2, 1) == 1   # phi(x) = 1
