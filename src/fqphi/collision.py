@@ -7,7 +7,12 @@ The answer depends only on signatures, never on evaluated integers:
 * q = 2:            m_d equal for d >= 2, deg - m_1 equal.
 
 ``same_phi`` implements exactly that criterion, so testing it against actual
-totient evaluations is a genuine check and not a tautology.
+totient evaluations is a genuine check and not a tautology.  The collisions
+suite of ``verify`` tests it on every monic pair up to its degree grids,
+with signatures and phi values read off the ``preimage.sieve``
+construction: phi there comes from the sieve's recurrence, not from the
+signature formula.  ``tests/test_acceptance.py`` repeats the check with
+``signature`` and ``phi``, i.e. through ``factor``.
 """
 
 from __future__ import annotations

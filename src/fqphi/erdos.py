@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CounterexampleError
-from .gfpoly import FieldSpec, Poly, enumerate_monic
-from .preimage import preimage_list
-from .totient import sigma
+from .gfpoly import FieldSpec, Poly
+from .preimage import preimage_list, sieve
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,10 @@ def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
 def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
     """A concrete pair (f, g) with phi(f) = sigma(g) = n, if n is a member.
 
-    f comes from the preimage oracle; g from enumerating monic polynomials of
-    degree up to log_q(n), which is exhaustive because sigma(g) >= |g|.
+    f comes from the preimage oracle; g from the sieve's monics of degree up
+    to log_q(n), which is exhaustive because sigma(g) >= |g|.  Both take the
+    first match in (degree, coefficient codes) order.  Raises ValueError
+    when the preimage oracle would pass its enumeration limit.
     """
     verdict = intersection_member(n, spec)
     if not verdict.member:
@@ -174,16 +175,15 @@ def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
         raise CounterexampleError(
             f"{n} matched family {verdict.family} but has no totient preimage")
     f = preimages[0]
-    q = spec.q
-    d = 1
-    while q**d <= n:
-        for g in enumerate_monic(spec, d):
-            value = sigma(g)
-            if value < q**d:
-                raise CounterexampleError(
-                    f"sigma({g}) = {value} below |g| = {q**d}")
-            if value == n:
-                return f, g
-        d += 1
+    max_deg = 0
+    while spec.q ** (max_deg + 1) <= n:
+        max_deg += 1
+    for entry in sieve(spec, max_deg):
+        g = entry.poly
+        if entry.sigma < g.size():
+            raise CounterexampleError(
+                f"sigma({g}) = {entry.sigma} below |g| = {g.size()}")
+        if entry.sigma == n:
+            return f, g
     raise CounterexampleError(
         f"{n} matched family {verdict.family} but has no sigma preimage")

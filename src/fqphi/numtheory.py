@@ -15,8 +15,11 @@ from typing import Sequence
 #: Relative guard band for floating-point bound comparisons.
 GUARD = 1e-9
 
-#: Trial-division ceiling before Pollard rho takes over.
-TRIAL_LIMIT = 10**6
+#: Trial-division ceiling before Pollard rho takes over.  Rho finds a prime
+#: factor p in about sqrt(p) steps, so a larger table buys little and costs
+#: every process that factors: 10**6 would hold 78,498 primes (2.7 MB,
+#: 60 ms to build).
+TRIAL_LIMIT = 2**12
 
 # Miller-Rabin witnesses: the first 13 primes.  The least strong pseudoprime
 # to all of them is _PSI13 (Sorenson & Webster, Math. Comp. 86 (2017)), so

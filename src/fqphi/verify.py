@@ -1,12 +1,15 @@
 """Self-verification suites: every headline counting statement checked
 against an independent brute-force computation at full desk scale.
 
-The brute-force side of the preimage, erdos and density suites is
-``preimage.phi_table`` and ``preimage.sigma_values``: one sieve build per
-field and degree that constructs every monic from its prime factors and
-reads phi and sigma off the construction, without calling ``factor``.  The
-collision suite still evaluates ``signature`` and ``phi`` through ``factor``
-on every monic pair it compares.
+The brute-force side of the collisions, preimage, erdos and density suites
+is ``preimage.sieve``, which constructs every monic from its prime factors
+and reads phi and sigma off the construction, without calling ``factor``.
+The preimage, erdos and density suites use it through
+``preimage.phi_table`` and ``preimage.sigma_values``.  The collision suite
+reads each monic's signature off the same construction, takes phi from the
+sieve's recurrence (not from the signature formula), and compares the
+distinct (signature, phi) classes, weighting each class pair by the number
+of monic pairs in it.
 
 Each suite returns a list of CheckResult rows; the CLI prints them and turns
 any failure into a nonzero exit.  Budgets shrink the sweeps for quick runs;
@@ -16,17 +19,14 @@ the defaults are the full verification grids.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from . import collision, density, erdos, numtheory, preimage, totient
+from . import collision, density, erdos, numtheory, preimage
 from .errors import CounterexampleError
-from .gfpoly import (
-    FieldSpec,
-    enumerate_irreducibles,
-    enumerate_monic,
-    pi_divisibility_holds,
-)
+from .gfpoly import FieldSpec, enumerate_irreducibles, pi_divisibility_holds
+from .totient import Signature
 
 
 @dataclass(frozen=True)
@@ -69,25 +69,55 @@ def _oracle_phi_values(spec: FieldSpec, y: int) -> set[int]:
     return {value for value in table if value <= y}
 
 
+def _sieve_signatures(spec: FieldSpec, max_deg: int):
+    """(entry, signature) for every monic of degree 1..max_deg, in
+    ``preimage.sieve`` order, without ``factor``.
+
+    The sieve builds a reducible f as P * g with P its smallest prime
+    factor, after g.  P divides g exactly when g's smallest factor is P too,
+    so f has g's signature counts, plus one at deg P when P does not divide g.
+    """
+    built: dict[tuple, tuple[tuple, dict[int, int]]] = {}
+    for entry in preimage.sieve(spec, max_deg):
+        small = entry.smallest.coeffs
+        if entry.cofactor is None:
+            counts = {entry.poly.degree: 1}
+        else:
+            g_small, counts = built[entry.cofactor.coeffs]
+            if g_small != small:
+                d = entry.smallest.degree
+                counts = {**counts, d: counts.get(d, 0) + 1}
+        if entry.poly.degree < max_deg:
+            built[entry.poly.coeffs] = (small, counts)
+        yield entry, Signature(entry.poly.degree, counts)
+
+
 def suite_collisions(budgets: Budgets = Budgets()) -> list[CheckResult]:
-    """Signature criterion vs exact totient equality, all monic pairs."""
+    """Signature criterion vs exact totient equality, all monic pairs.
+
+    Monics with the same degree, signature counts and phi value form one
+    class and answer every comparison alike, so the criterion runs once per
+    class pair, and a mismatch counts the monic pairs it stands for.
+    """
     results = []
     for q, default_deg in ((2, 7), (3, 5), (4, 4), (5, 3)):
         spec = _spec(q)
         max_deg = budgets.cap_degree(default_deg)
-        data = []
-        for d in range(1, max_deg + 1):
-            for f in enumerate_monic(spec, d):
-                data.append((totient.signature(f), totient.phi(f).value))
+        sizes = Counter(
+            (sig.degree, tuple(sorted(sig.counts.items())), entry.phi)
+            for entry, sig in _sieve_signatures(spec, max_deg))
+        classes = [
+            (Signature(degree, dict(counts)), value, n)
+            for (degree, counts, value), n in sizes.items()]
         mismatches = 0
-        for i, (sig_a, val_a) in enumerate(data):
-            for sig_b, val_b in data[i:]:
+        for i, (sig_a, val_a, n_a) in enumerate(classes):
+            for j, (sig_b, val_b, n_b) in enumerate(classes[i:], i):
                 if collision.same_phi(sig_a, sig_b, spec) != (val_a == val_b):
-                    mismatches += 1
+                    mismatches += n_a * (n_a + 1) // 2 if j == i else n_a * n_b
         results.append(CheckResult(
             f"collision criterion q={q} deg<={max_deg}",
             mismatches == 0,
-            f"{len(data)} monics, {mismatches} mismatches"))
+            f"{sizes.total()} monics, {mismatches} mismatches"))
     return results
 
 

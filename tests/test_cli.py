@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +193,32 @@ class TestVerifyCommand:
             "--budget-degree", "3", "--format", "text")
         assert code == 0
         assert out.count("[PASS]") == 4
+
+
+class TestEnumerationLimit:
+    """Inputs whose brute-force enumeration would not finish exit 2 at once;
+    each runs in a subprocess with a timeout, so a hang fails the test."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+
+    def run_cli(self, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run(
+            [sys.executable, "-m", "fqphi.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=30)
+
+    def test_preimage_list_over_the_limit(self):
+        # degree bound 33: more than 2**33 monics
+        proc = self.run_cli(
+            "preimage", "list", "--p", "2", "--n", "1000000000")
+        assert proc.returncode == 2 and "limit" in proc.stderr
+
+    def test_erdos_witness_over_the_limit(self):
+        # 2**31 - 1 is in the q = 2 intersection
+        proc = self.run_cli(
+            "erdos", "witness", "--p", "2", "--n", str(2**31 - 1))
+        assert proc.returncode == 2 and "limit" in proc.stderr
 
 
 class TestUsageErrors:

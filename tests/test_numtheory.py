@@ -70,6 +70,20 @@ class TestFactorInt:
         p, q = 1000003, 1000033
         assert nt.factor_int(p * q) == {p: 1, q: 1}
 
+    @pytest.mark.parametrize("n,expected", [
+        (4099**2, {4099: 2}),
+        (4099**3, {4099: 3}),
+        (1000003**2, {1000003: 2}),
+        (999983 * 1000003, {999983: 1, 1000003: 1}),
+        (3 * 65537**2, {3: 1, 65537: 2}),
+        ((2**31 - 1) ** 2, {2**31 - 1: 2}),
+    ])
+    def test_cofactors_above_the_trial_limit(self, n, expected):
+        # every prime here except 3 lies above TRIAL_LIMIT, so rho must
+        # split repeated and near-equal factors
+        assert min(p for p in expected if p != 3) > nt.TRIAL_LIMIT
+        assert nt.factor_int(n) == expected
+
 
 class TestIsPrime:
     PSI12 = 318665857834031151167461  # = 399165290221 * 798330580441

@@ -15,6 +15,7 @@ from fqphi import (
     represent,
     sierpinski_witness,
 )
+from fqphi import preimage
 
 F7 = FieldSpec(7)
 F8 = FieldSpec(2, 3)
@@ -98,6 +99,14 @@ class TestPreimageList:
             assert polys == sorted(polys)
             assert all(phi(f).value == n for f in polys)
             assert len(polys) == preimage_count(n, F3)
+
+    def test_enumeration_limit(self, F2, monkeypatch):
+        # F_2 to degree 3 is 2 + 4 + 8 = 14 monics; degree 4 adds 16
+        monkeypatch.setattr(preimage, "LIST_LIMIT", 14)
+        assert degree_bound(2, F2) == 3 and degree_bound(3, F2) == 4
+        assert len(preimage_list(2, F2)) == preimage_count(2, F2)
+        with pytest.raises(ValueError, match="30 monics up to degree 4"):
+            preimage_list(3, F2)
 
 
 class TestDegreeBound:

@@ -1,0 +1,47 @@
+"""The collisions suite of ``verify`` on its sieve-built signature classes.
+
+The suite reads signatures and phi values off ``preimage.sieve`` and runs
+the criterion once per class pair; these tests pin it to the per-pair
+counts it replaces and show that it needs no ``factor``.
+"""
+
+import pytest
+
+from fqphi import collision, gfpoly, signature, totient, verify
+
+GRIDS = ((2, 7), (3, 5), (4, 4), (5, 3))
+
+
+@pytest.mark.parametrize("q,max_deg", GRIDS)
+def test_sieve_signatures_match_factor(q, max_deg):
+    spec = verify._spec(q)
+    seen = 0
+    for entry, sig in verify._sieve_signatures(spec, max_deg):
+        assert sig == signature(entry.poly), entry.poly
+        seen += 1
+    assert seen == sum(q**d for d in range(1, max_deg + 1))
+
+
+def test_wrong_criterion_counts_every_monic_pair(monkeypatch):
+    # the q >= 4 rule everywhere: wrong at q = 2 and 3.  The counts are
+    # those of a comparison of all monic pairs one by one.
+    monkeypatch.setattr(
+        collision, "same_phi",
+        lambda a, b, spec: a.degree == b.degree and a.counts == b.counts)
+    rows = verify.run_suite("collisions")
+    assert [(row.ok, row.detail) for row in rows] == [
+        (False, "254 monics, 644 mismatches"),
+        (False, "363 monics, 30 mismatches"),
+        (True, "340 monics, 0 mismatches"),
+        (True, "155 monics, 0 mismatches"),
+    ]
+
+
+def test_collisions_suite_never_factors(monkeypatch):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factor called")
+
+    monkeypatch.setattr(gfpoly, "factor", no_factor)
+    monkeypatch.setattr(totient, "factor", no_factor)
+    rows = verify.run_suite("collisions")
+    assert len(rows) == 4 and all(row.ok for row in rows), rows
