@@ -7,7 +7,7 @@ set with its proven size ceiling.  All counting paths are backed by
 independent brute-force oracles exercised in the test and verify suites.
 """
 
-from .collision import phi_classes, same_phi
+from .collision import same_phi
 from .density import (
     DensityReport,
     density_bound,
@@ -90,7 +90,6 @@ __all__ = [
     "min_phi",
     "parse_poly",
     "phi",
-    "phi_classes",
     "phi_from_signature",
     "phi_table",
     "phi_values_up_to",

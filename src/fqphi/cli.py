@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import collision, density, erdos, preimage, totient
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, factor, parse_poly
+from .numtheory import GUARD
 from .verify import SUITES, Budgets, run_suite
 
 
@@ -178,6 +180,17 @@ def _cmd_pi(args) -> int:
     spec = _field(args)
     if args.d < 1:
         raise ValueError("--d must be >= 1")
+    # d pi_q(d) >= q**d - 2 q**(d/2) gives pi_q(d) >= q**d / (2d), whose log
+    # never decreases in d, so capping d keeps a lower bound on log10 pi_q(d)
+    # and keeps the float finite.
+    d = min(args.d, 10**300)
+    digits = d * math.log10(spec.q) - math.log10(2 * d)
+    # 0 means no limit, as on interpreters older than the limit itself
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits * (1 - GUARD) > limit:
+        raise ValueError(
+            f"pi_q(d) for q = {spec.q}, d = {args.d} has more than {limit} "
+            f"decimal digits, the interpreter's limit for printing an integer")
     _emit({"d": args.d, "pi": str(spec.pi(args.d))}, args.format)
     return 0
 

@@ -12,13 +12,14 @@ suite of ``verify`` tests it on every monic pair up to its degree grids,
 with signatures and phi values read off the ``preimage.sieve``
 construction: phi there comes from the sieve's recurrence, not from the
 signature formula.  ``tests/test_acceptance.py`` repeats the check with
-``signature`` and ``phi``, i.e. through ``factor``.
+``signature`` and ``phi``, i.e. through ``factor``.  The phi classes
+themselves, every monic up to a degree bucketed by its totient value, are
+``preimage.phi_table``.
 """
 
 from __future__ import annotations
 
-from .gfpoly import FieldSpec, Poly
-from .preimage import phi_table
+from .gfpoly import FieldSpec
 from .totient import Signature
 
 
@@ -40,17 +41,3 @@ def same_phi(a: Signature, b: Signature, spec: FieldSpec) -> bool:
 
 def _counts_from(sig: Signature, d_min: int) -> dict[int, int]:
     return {d: m for d, m in sig.counts.items() if d >= d_min}
-
-
-def phi_classes(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
-    """Partition monic polynomials of degree 1..max_deg by exact phi value.
-
-    A fresh copy of ``preimage.phi_table``: lists keep the enumeration order
-    (degree, then coefficient codes), so output is deterministic.
-    """
-    if max_deg < 1:
-        raise ValueError(f"max_deg must be >= 1, got {max_deg}")
-    return {
-        value: list(polys)
-        for value, polys in phi_table(spec, max_deg).items()
-    }

@@ -1,12 +1,13 @@
 """Distribution of totient values: the set V(y) and its proven ceiling.
 
 ``phi_values_up_to`` enumerates every totient value <= y directly from the
-factored forms (no polynomial enumeration), deduplicating exact integers
-because distinct factored forms can collide for q in {2, 3}.  The count V(y)
-is bounded by 2 q k (e^2/2)^(k/2) with k = floor(log_q y); a violation would
-contradict a proven statement and raises CounterexampleError.  The k = 0
-edge (y < q) degenerates the bound to 0 while V can be 1 over F_2, so the
-check is skipped there and the report says so.
+factored forms (no polynomial enumeration; the q-power exponents come from
+``preimage.reachable_sums``), deduplicating exact integers because distinct
+factored forms can collide for q in {2, 3}.  The count V(y) is bounded by
+2 q k (e^2/2)^(k/2) with k = floor(log_q y); a violation would contradict a
+proven statement and raises CounterexampleError.  The k = 0 edge (y < q)
+degenerates the bound to 0 while V can be 1 over F_2, so the check is
+skipped there and the report says so.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec
 from .numtheory import GUARD
+from .preimage import reachable_sums
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def phi_values_up_to(y: int, spec: FieldSpec) -> list[int]:
     def emit(prod_: int, support: tuple[int, ...]) -> None:
         if not support:
             return  # no irreducible factor: the constant polynomial
-        if 1 in support:
+        if 1 in support:  # every j is reachable: walk the q-powers
             value = prod_
             while value <= y:
                 values.add(value)
@@ -59,14 +61,8 @@ def phi_values_up_to(y: int, spec: FieldSpec) -> list[int]:
         j_max = 0
         while prod_ * q ** (j_max + 1) <= y:
             j_max += 1
-        reachable = bytearray(j_max + 1)
-        reachable[0] = 1
-        for d in support:
-            for w in range(d, j_max + 1):
-                if reachable[w - d]:
-                    reachable[w] = 1
-        for j in range(j_max + 1):
-            if reachable[j]:
+        for j, reachable in enumerate(reachable_sums(support, j_max)):
+            if reachable:
                 values.add(prod_ * q**j)
 
     def rec(d: int, prod_: int, support: tuple[int, ...]) -> None:

@@ -24,32 +24,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .numtheory import is_prime, mobius
+from .numtheory import factor_int, is_prime
 
 # Element add/mul lookup tables are built for extension fields up to this
 # order; larger fields fall back to per-operation digit arithmetic.
 _TABLE_LIMIT = 256
 
 _MASK64 = (1 << 64) - 1
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _code_digits(code: int, p: int, s: int) -> list[int]:
@@ -208,12 +189,19 @@ class FieldSpec:
     # -- irreducible counts ----------------------------------------------
 
     def pi(self, d: int) -> int:
-        """Number of monic irreducibles of degree d: (1/d) sum mu(j) q^(d/j)."""
+        """Number of monic irreducibles of degree d: (1/d) sum mu(r) q^(d/r).
+
+        mu(r) vanishes unless r is squarefree, so the sum runs over the
+        products r of distinct primes of d, with mu(r) = (-1)^(their number).
+        """
         if d < 1:
             raise ValueError(f"degree must be >= 1, got {d}")
         cached = self._pi_cache.get(d)
         if cached is None:
-            total = sum(mobius(j) * self.q ** (d // j) for j in _divisors(d))
+            terms = [(1, 1)]  # (r, mu(r))
+            for prime in factor_int(d) if d > 1 else ():
+                terms += [(r * prime, -mu) for r, mu in terms]
+            total = sum(mu * self.q ** (d // r) for r, mu in terms)
             assert total % d == 0
             cached = total // d
             self._pi_cache[d] = cached
@@ -488,7 +476,7 @@ def is_irreducible(f: Poly) -> bool:
         return True
     fld = f.field
     fm = f.monic()
-    targets = {d // r for r in _prime_divisors(d)}
+    targets = {d // r for r in factor_int(d)}
     x = fld.x()
     h = x % fm
     for i in range(1, d + 1):

@@ -1,15 +1,16 @@
 """Membership, representations, and exact preimage counts for totient values.
 
 A positive integer n is a totient value over F_q exactly when it can be
-written q**j * prod (q**d - 1)**m_d with m_d <= pi_q(d) and j expressible as
-sum d*j_d restricted to degrees with m_d >= 1.  ``represent`` recovers the
-canonical factored witnesses, ``preimage_count`` turns one into the exact
-number of monic preimages, and ``preimage_list`` is the independent
-brute-force oracle: every monic polynomial up to a proven degree bound,
-bucketed by its totient, keeping those whose totient literally equals n.
-The oracle never factors: ``sieve`` builds each monic from its prime
-factors by unique factorization and reads phi and sigma off the
-construction, trusting only polynomial multiplication.
+written q**j * prod (q**d - 1)**m_d with m_d <= pi_q(d) and j expressible
+as sum d*j_d restricted to degrees with m_d >= 1 (``reachable_sums``,
+shared with ``density``).  ``represent`` recovers the canonical factored
+witnesses, ``preimage_count`` turns one into the exact number of monic
+preimages, and ``preimage_list`` is the independent brute-force oracle:
+every monic polynomial up to a proven degree bound, bucketed by its
+totient, keeping those whose totient literally equals n.  The oracle never
+factors: ``sieve`` builds each monic from its prime factors by unique
+factorization and reads phi and sigma off the construction, trusting only
+polynomial multiplication.
 
 Canonical forms per field size:
 
@@ -77,17 +78,16 @@ class SieveEntry(NamedTuple):
     phi: int
 
 
-def _compositions_feasible(j: int, degrees) -> bool:
-    # Is j a non-negative integer combination of the given degrees?
-    if j == 0:
-        return True
-    reachable = bytearray(j + 1)
+def reachable_sums(degrees, limit: int) -> bytearray:
+    """Unbounded knapsack: entry w in 0..limit is 1 exactly when w is a
+    non-negative integer combination of the given degrees."""
+    reachable = bytearray(limit + 1)
     reachable[0] = 1
     for d in degrees:
-        for w in range(d, j + 1):
+        for w in range(d, limit + 1):
             if reachable[w - d]:
                 reachable[w] = 1
-    return bool(reachable[j])
+    return reachable
 
 
 def represent(n: int, spec: FieldSpec) -> list[Representation]:
@@ -129,13 +129,13 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
                 return
             if i == 0 and not counts:
                 return  # no irreducible factor at all
-            if j and i == 0 and not _compositions_feasible(j, counts):
+            if j and i == 0 and not reachable_sums(counts, j)[j]:
                 return
             found.append(Representation(j, counts, merged=i))
             return
         if rem != 1 or not counts:
             return
-        if j and not _compositions_feasible(j, counts):
+        if j and not reachable_sums(counts, j)[j]:
             return
         found.append(Representation(j, counts))
 

@@ -13,14 +13,15 @@ of monic pairs in it.
 
 Each suite returns a list of CheckResult rows; the CLI prints them and turns
 any failure into a nonzero exit.  Budgets shrink the sweeps for quick runs;
-the defaults are the full verification grids.
+the defaults are the full verification grids, which live only here:
+``tests/test_acceptance.py`` pins every row these grids produce.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 
 from . import collision, density, erdos, numtheory, preimage
@@ -38,20 +39,26 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Caps for the sweeps; None means the full default grid."""
+    """Caps for the sweeps; None means the full default grid.
+
+    Each field is set by the CLI flag ``--budget-<field>`` and must be >= 1.
+    """
 
     degree: int | None = None
     n: int | None = None
     y: int | None = None
 
-    def cap_degree(self, default: int) -> int:
-        return default if self.degree is None else min(default, self.degree)
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and value < 1:
+                raise ValueError(
+                    f"--budget-{field.name} must be >= 1, got {value}")
 
-    def cap_n(self, default: int) -> int:
-        return default if self.n is None else min(default, self.n)
-
-    def cap_y(self, default: int) -> int:
-        return default if self.y is None else min(default, self.y)
+    def cap(self, name: str, default: int) -> int:
+        """The sweep bound for ``name``: its default, lowered to the budget."""
+        value = getattr(self, name)
+        return default if value is None else min(default, value)
 
 
 SUITES = ("collisions", "preimage", "sierpinski", "erdos", "density", "lemmas")
@@ -102,7 +109,7 @@ def suite_collisions(budgets: Budgets = Budgets()) -> list[CheckResult]:
     results = []
     for q, default_deg in ((2, 7), (3, 5), (4, 4), (5, 3)):
         spec = _spec(q)
-        max_deg = budgets.cap_degree(default_deg)
+        max_deg = budgets.cap("degree", default_deg)
         sizes = Counter(
             (sig.degree, tuple(sorted(sig.counts.items())), entry.phi)
             for entry, sig in _sieve_signatures(spec, max_deg))
@@ -126,7 +133,7 @@ def suite_preimage(budgets: Budgets = Budgets()) -> list[CheckResult]:
     results = []
     for q, default_n in ((2, 200), (3, 500), (5, 1000)):
         spec = _spec(q)
-        n_max = budgets.cap_n(default_n)
+        n_max = budgets.cap("n", default_n)
         table = preimage.phi_table(
             spec, preimage.degree_bound(n_max, spec))
         bad = [
@@ -182,7 +189,7 @@ def suite_sierpinski(budgets: Budgets = Budgets()) -> list[CheckResult]:
 
     for q in (4, 5):
         spec = _spec(q)
-        n_max = budgets.cap_n(10**4)
+        n_max = budgets.cap("n", 10**4)
         allowed_failures = []
         for n in range(1, n_max + 1):
             count = preimage.preimage_count(n, spec)
@@ -194,7 +201,7 @@ def suite_sierpinski(budgets: Budgets = Budgets()) -> list[CheckResult]:
             f"violations {allowed_failures[:3]}"
             if allowed_failures else "no count in a forbidden gap"))
     spec2 = _spec(2)
-    n_max = budgets.cap_n(10**3)
+    n_max = budgets.cap("n", 10**3)
     floor_bad = []
     for n in range(1, n_max + 1):
         count = preimage.preimage_count(n, spec2)
@@ -215,7 +222,7 @@ def suite_erdos(budgets: Budgets = Budgets()) -> list[CheckResult]:
     results = []
     for q, default_y in ((5, 10**4), (3, 10**3), (2, 10**3)):
         spec = _spec(q)
-        y = budgets.cap_y(default_y)
+        y = budgets.cap("y", default_y)
         # One sieve build holds both value sets: degree_bound(y) >=
         # floor(log_q y), and sigma(g) >= |g| puts every sigma value <= y
         # at a degree <= floor(log_q y).
@@ -243,7 +250,7 @@ def suite_density(budgets: Budgets = Budgets()) -> list[CheckResult]:
         f"values {v10}"))
     for q in (2, 3, 4, 5):
         spec = _spec(q)
-        y_max = budgets.cap_y(10**5)
+        y_max = budgets.cap("y", 10**5)
         try:
             reports = density.density_sweep(spec, y_max)
             checked = sum(1 for r in reports if r.bound_checked)
@@ -255,7 +262,7 @@ def suite_density(budgets: Budgets = Budgets()) -> list[CheckResult]:
                 f"value count ceiling q={q} y<={y_max}", False, str(exc)))
     for q in (2, 3):
         spec = _spec(q)
-        y = budgets.cap_y(10**3)
+        y = budgets.cap("y", 10**3)
         direct = set(density.phi_values_up_to(y, spec))
         oracle = _oracle_phi_values(spec, y)
         results.append(CheckResult(

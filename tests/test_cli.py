@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,6 +87,22 @@ class TestSamePhiAndPi:
     def test_pi(self, capsys):
         code, payload = run_json(capsys, "pi", "--p", "2", "--d", "6")
         assert code == 0 and payload == {"d": 6, "pi": "9"}
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_pi_at_the_digit_limit(self, capsys, p):
+        # prints every value within sys.get_int_max_str_digits(), and exits
+        # 2 on every value beyond it
+        limit = sys.get_int_max_str_digits()
+        spec = FieldSpec(p)
+        first_too_long = int(limit * math.log(10) / math.log(p))
+        while spec.pi(first_too_long) < 10**limit:
+            first_too_long += 1
+        for d in range(first_too_long - 3, first_too_long + 4):
+            code, out, err = run(capsys, "pi", "--p", str(p), "--d", str(d))
+            if spec.pi(d) < 10**limit:
+                assert code == 0 and json.loads(out)["pi"] == str(spec.pi(d))
+            else:
+                assert code == 2 and "digits" in err, d
 
 
 class TestPreimageCommand:
@@ -194,10 +211,18 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 4
 
+    @pytest.mark.parametrize("flag", ["--budget-degree", "--budget-n",
+                                      "--budget-y"])
+    def test_budget_below_one(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "collisions", "--p", "2",
+                             flag, "0")
+        assert code == 2 and out == "" and flag in err
+
 
 class TestEnumerationLimit:
-    """Inputs whose brute-force enumeration would not finish exit 2 at once;
-    each runs in a subprocess with a timeout, so a hang fails the test."""
+    """Inputs whose work would not finish, or whose output could not be
+    printed, exit 2 at once; each runs in a subprocess with a timeout, so a
+    hang fails the test."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -219,6 +244,11 @@ class TestEnumerationLimit:
         proc = self.run_cli(
             "erdos", "witness", "--p", "2", "--n", str(2**31 - 1))
         assert proc.returncode == 2 and "limit" in proc.stderr
+
+    def test_pi_beyond_the_digit_limit(self):
+        # 2**(10**12) alone would take about 125 GB
+        proc = self.run_cli("pi", "--p", "2", "--d", str(10**12))
+        assert proc.returncode == 2 and "digits" in proc.stderr
 
 
 class TestUsageErrors:

@@ -17,6 +17,7 @@ from fqphi import (
     poly_to_text,
     powmod,
 )
+from fqphi.numtheory import mobius
 
 FIELDS = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
 
@@ -278,6 +279,16 @@ class TestPi:
                     d * spec.pi(d) for d in range(1, big_d + 1)
                     if big_d % d == 0)
                 assert total == spec.q**big_d
+
+    @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                     (3, 2)])
+    def test_matches_mobius_formula(self, p, s):
+        spec = FieldSpec(p, s)
+        q = spec.q
+        for d in range(1, 121):
+            total = sum(mobius(j) * q ** (d // j)
+                        for j in range(1, d + 1) if d % j == 0)
+            assert spec.pi(d) == total // d, (q, d)
 
     def test_divisibility_examples(self, F3, F5):
         assert pi_divisibility_holds(F3, 3) is True

@@ -149,8 +149,8 @@ class TestZsigmondy:
             nt.zsigmondy_has_primitive(6, 2, 3)
 
     def test_agrees_with_primitive_set_small_grid(self):
-        for a in range(2, 7):
-            for n in range(2, 11):
+        for a in range(2, 13):
+            for n in range(2, 21):
                 expected = bool(nt.primitive_prime_divisors(a, n))
                 assert nt.zsigmondy_has_primitive(a, 1, n) == expected
 
@@ -193,12 +193,14 @@ class TestCountSolutions:
         assert nt.count_solutions(weights, budget) == naive_count(weights, budget)
 
     def test_sandwich_random(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            k = rng.randint(1, 4)
-            weights = [rng.randint(1, 6) for _ in range(k)]
-            budget = rng.randint(0, 30)
-            assert nt.solution_count_sandwich_holds(weights, budget)
+        for seed, instances, max_budget in ((7, 60, 30), (20240817, 200, 40)):
+            rng = random.Random(seed)
+            for _ in range(instances):
+                k = rng.randint(1, 4)
+                weights = [rng.randint(1, 6) for _ in range(k)]
+                budget = rng.randint(0, max_budget)
+                assert nt.solution_count_sandwich_holds(weights, budget), (
+                    seed, weights, budget)
 
 
 class TestTriangular:

@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqphi import (
     CounterexampleError,
@@ -57,6 +60,20 @@ class TestRepresent:
     def test_uniqueness_for_large_fields(self, spec):
         for n in range(1, 10001):
             assert len(represent(n, spec)) <= 1, (spec.q, n)
+
+
+class TestReachableSums:
+    @given(st.lists(st.integers(1, 6), max_size=3), st.integers(0, 25))
+    @settings(max_examples=150)
+    def test_matches_enumeration(self, degrees, limit):
+        # every combination sum(c_i d_i) with each c_i d_i <= limit
+        sums = {
+            sum(c * d for c, d in zip(coeffs, degrees))
+            for coeffs in product(
+                *(range(limit // d + 1) for d in degrees))
+        }
+        want = bytearray(w in sums for w in range(limit + 1))
+        assert preimage.reachable_sums(degrees, limit) == want
 
 
 class TestPreimageCount:
