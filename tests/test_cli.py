@@ -219,19 +219,26 @@ class TestVerifyCommand:
         assert code == 2 and out == "" and flag in err
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, with a 30 s timeout: a hang or a
+    crash fails the test instead of the test run."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "fqphi.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=30)
+
+
 class TestEnumerationLimit:
     """Inputs whose work would not finish, or whose output could not be
     printed, exit 2 at once; each runs in a subprocess with a timeout, so a
     hang fails the test."""
 
-    SRC = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-
     def run_cli(self, *argv):
-        env = dict(os.environ, PYTHONPATH=self.SRC)
-        return subprocess.run(
-            [sys.executable, "-m", "fqphi.cli", *argv], env=env,
-            capture_output=True, text=True, timeout=30)
+        return run_subprocess(*argv)
 
     def test_preimage_list_over_the_limit(self):
         # degree bound 33: more than 2**33 monics
@@ -249,6 +256,34 @@ class TestEnumerationLimit:
         # 2**(10**12) alone would take about 125 GB
         proc = self.run_cli("pi", "--p", "2", "--d", str(10**12))
         assert proc.returncode == 2 and "digits" in proc.stderr
+
+
+class TestLargeValues:
+    """Values far above the oracle's reach; the representation search once
+    recursed per basis degree and died with RecursionError on these."""
+
+    def test_count_of_a_mersenne_value(self):
+        # the primitive part of 2**1100 - 1 forces m_1100 = 1 and nothing
+        # else; m_1 is free in 0..2
+        proc = run_subprocess(
+            "preimage", "count", "--p", "2", "--n", str(2**1100 - 1))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "count": str(4 * FieldSpec(2).pi(1100))}
+
+    def test_q3_power_construction_l6(self):
+        proc = run_subprocess("sierpinski", "--p", "3", "--kind", "power",
+                              "--l", "6")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["computed"] == "729" and payload["ok"] is True
+
+    def test_count_within_the_timeout(self):
+        proc = run_subprocess(
+            "preimage", "count", "--p", "2", "--n", str(2**4000 - 1))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "count": str(4 * FieldSpec(2).pi(4000))}
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,11 @@ from fqphi import (
     sierpinski_witness,
 )
 from fqphi import preimage
+from fqphi.numtheory import (
+    factor_int,
+    primitive_prime_divisors,
+    zsigmondy_has_primitive,
+)
 
 F7 = FieldSpec(7)
 F8 = FieldSpec(2, 3)
@@ -62,6 +68,139 @@ class TestRepresent:
             assert len(represent(n, spec)) <= 1, (spec.q, n)
 
 
+def reference_represent(n, spec):
+    """The branching search: at every basis degree d, largest first, try
+    each m_d with (q**d - 1)**m_d dividing the remainder.  Independent of
+    the primitive parts that ``represent`` uses to skip the branches."""
+    q, p, s = spec.q, spec.p, spec.s
+    v, m = 0, n
+    while m % p == 0:
+        m //= p
+        v += 1
+    if v % s:
+        return []
+    j = v // s
+    cofactor = n // q**j
+    d = {2: 2, 3: 3}.get(q, 1)
+    basis = []
+    while q**d - 1 <= cofactor:
+        basis.append((d, q**d - 1))
+        d += 1
+    basis.reverse()
+    found, acc = [], {}
+
+    def leaf(rem):
+        counts = dict(acc)
+        if q == 2:
+            if rem == 1:
+                found.append(preimage.Representation(j, counts))
+            return
+        if q == 3:
+            if rem & (rem - 1):
+                return
+            i = rem.bit_length() - 1
+            if i > spec.pi(1) + 3 * spec.pi(2) or (i == 0 and not counts):
+                return
+            if j and i == 0 and not preimage.reachable_sums(counts, j)[j]:
+                return
+            found.append(preimage.Representation(j, counts, merged=i))
+            return
+        if rem != 1 or not counts:
+            return
+        if j and not preimage.reachable_sums(counts, j)[j]:
+            return
+        found.append(preimage.Representation(j, counts))
+
+    def rec(idx, rem):
+        if idx == len(basis):
+            leaf(rem)
+            return
+        d, b = basis[idx]
+        rec(idx + 1, rem)
+        m_d = 0
+        while m_d < spec.pi(d) and rem % b == 0:
+            rem //= b
+            m_d += 1
+            acc[d] = m_d
+            rec(idx + 1, rem)
+        acc.pop(d, None)
+
+    rec(0, cofactor)
+    found.sort(key=lambda rep: sorted(rep.counts.items()))
+    return found
+
+
+def seeded_products(spec, count, seed):
+    """Products q**j * prod (q**d - 1), with a power of two mixed into some,
+    so that most are totient values and many sit next to one."""
+    q = spec.q
+    rng = random.Random(seed)
+    top = 14 if q < 10 else 6
+    out = []
+    for _ in range(count):
+        n = q ** rng.randrange(4)
+        for _ in range(rng.randrange(1, 6)):
+            n *= q ** rng.randrange(1, top) - 1
+        if rng.random() < 0.3:
+            n *= 2 ** rng.randrange(6)
+        out.append(n)
+    return out
+
+
+class TestForcedSearch:
+    """``represent`` skips the branch wherever the primitive part of
+    q**d - 1 forces m_d; it must find what the branching search finds."""
+
+    FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+              (31, 1)]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_branching_search(self, field):
+        spec = FieldSpec(*field)
+        ns = list(range(1, 3001)) + seeded_products(spec, 400, spec.q)
+        for n in ns:
+            want = reference_represent(n, spec)
+            got = represent(n, spec)
+            assert got == want, (spec.q, n)
+            # the same degree order inside each representation
+            assert [list(r.counts) for r in got] == [
+                list(r.counts) for r in want], (spec.q, n)
+            count = sum(preimage._count_for(r, spec) for r in want)
+            assert preimage_count(n, spec) == count, (spec.q, n)
+
+    def test_every_exception_degree_is_covered(self):
+        # u_d = 1 at a canonical degree: d = 6 for q = 2, and d = 2 for
+        # q = 7 and q = 31 (q + 1 a power of two); q = 3's d = 2 is merged
+        exceptions = set()
+        for field in self.FIELDS:
+            spec = FieldSpec(*field)
+            exceptions |= {(spec.q, row.d)
+                           for row in preimage._degrees(spec, spec.q**8)
+                           if row.primitive == 1}
+        assert exceptions == {(2, 6), (7, 2), (31, 2)}
+
+    def test_primitive_part_primes(self):
+        for a in range(2, 13):
+            for d in range(1, 21):
+                u = preimage._primitive_part(a, d)
+                value = a**d - 1
+                assert value % u == 0 and gcd(u, value // u) == 1, (a, d)
+                primes = set(factor_int(u)) if u > 1 else set()
+                assert primes == primitive_prime_divisors(a, d), (a, d)
+                if d >= 2:
+                    assert (u == 1) == (
+                        not zsigmondy_has_primitive(a, 1, d)), (a, d)
+
+    def test_table_rows(self, F4):
+        table = preimage._degrees(F4, 4**12)
+        assert [row.d for row in table] == list(range(1, len(table) + 1))
+        assert len(table) >= 12
+        for row in table:
+            assert row.value == 4**row.d - 1
+            assert row.primitive == preimage._primitive_part(4, row.d)
+            assert row.cap == F4.pi(row.d)
+
+
 class TestReachableSums:
     @given(st.lists(st.integers(1, 6), max_size=3), st.integers(0, 25))
     @settings(max_examples=150)
@@ -74,6 +213,22 @@ class TestReachableSums:
         }
         want = bytearray(w in sums for w in range(limit + 1))
         assert preimage.reachable_sums(degrees, limit) == want
+
+
+class TestWeightedCompositions:
+    @given(st.dictionaries(st.integers(1, 6), st.integers(1, 4), max_size=3),
+           st.integers(0, 16))
+    @settings(max_examples=150)
+    def test_matches_enumeration(self, counts, j):
+        # sum over every (j_d) with sum d*j_d = j of prod C(j_d+m_d-1, m_d-1)
+        degrees = list(counts)
+        want = sum(
+            prod(comb(j_d + counts[d] - 1, counts[d] - 1)
+                 for d, j_d in zip(degrees, js))
+            for js in product(*(range(j // d + 1) for d in degrees))
+            if sum(d * j_d for d, j_d in zip(degrees, js)) == j
+        )
+        assert preimage._weighted_compositions(counts, j) == want
 
 
 class TestPreimageCount:
