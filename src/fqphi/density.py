@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec
@@ -22,8 +22,7 @@ from .numtheory import GUARD
 from .preimage import reachable_sums
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """V(y) against its ceiling at one sample point."""
 
     y: int

@@ -9,16 +9,14 @@ are deterministic (families overlap; the first match wins).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly
 from .preimage import preimage_list, sieve
 
 
-@dataclass(frozen=True)
-class IntersectionVerdict:
+class IntersectionVerdict(NamedTuple):
     """Membership answer, with the matched family and parameters if any."""
 
     n: int
@@ -31,8 +29,7 @@ def _div23(d: int) -> bool:
     return d % 2 == 0 or d % 3 == 0
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     tag: str
     fixed: tuple[int, ...]  # degrees of constant (2**d - 1) factors
     slots: tuple[tuple[int, Callable[[int], bool] | None], ...]

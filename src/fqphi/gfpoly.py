@@ -20,9 +20,8 @@ the zero polynomial prints ``0``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .numtheory import factor_int, is_prime
 
@@ -489,9 +488,10 @@ def is_irreducible(f: Poly) -> bool:
 # -- factorization ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """unit * product(P**e) with monic irreducible parts, canonically sorted."""
+class Factorization(NamedTuple):
+    """unit * product(P**e) with monic irreducible parts, canonically sorted.
+
+    Iterating yields the parts, not the three fields."""
 
     field: FieldSpec
     unit: int
@@ -505,6 +505,10 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.parts)
+
+    def __reduce__(self):
+        # copy and pickle would rebuild from __iter__, i.e. from the parts
+        return Factorization, (self.field, self.unit, self.parts)
 
 
 def _coeff_hash(coeffs: tuple[int, ...]) -> int:

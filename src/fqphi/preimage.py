@@ -27,18 +27,17 @@ constant polynomial 1 and is excluded everywhere.
 ``represent`` does not branch on every m_d: the primitive part of q**d - 1
 (the primes that divide no q**e - 1 with e < d) forces m_d wherever it is
 not 1, which by Zsigmondy's theorem leaves one branching degree at most
-per field.  Each field keeps a table of (d, q**d - 1, primitive part,
-pi_q(d)) grown to the largest cofactor seen; at n = 2**4000 - 1 over F_2
-it has 3,999 rows, about 3.4 MB.
+per field.  Each field keeps a table of q**d - 1 grown to the largest
+cofactor seen, and fills a degree's primitive part and pi_q(d) only when
+the walk first reaches it; at n = 2**4000 - 1 over F_2 it has 3,999 rows,
+one of them filled, about 1.2 MB.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, log, prod
-from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import CounterexampleError
@@ -46,8 +45,7 @@ from .gfpoly import FieldSpec, Poly, enumerate_monic
 from .numtheory import GUARD, factor_int
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """One factored witness that n lies in the totient value set.
 
     ``counts`` holds the canonical degrees only (see module docstring);
@@ -67,8 +65,7 @@ class Representation:
         return value
 
 
-@dataclass(frozen=True)
-class CountProfile:
+class CountProfile(NamedTuple):
     """A preimage count together with its theorem-level classification."""
 
     n: int
@@ -125,23 +122,43 @@ def _primitive_part(q: int, d: int) -> int:
     return part
 
 
-# Canonical degrees per field, lowest first, grown to the largest cofactor
-# seen.  A longer table replaces the shorter one whole, so a concurrent
-# reader only ever sees a complete table.
-_DEGREES: dict[FieldSpec, list[_Degree]] = {}
+# Per field: q**d - 1 for the canonical degrees d, lowest first, grown to
+# the largest cofactor seen, and beside them the _Degree rows, None until
+# ``_row`` fills one on its first visit.  A longer table replaces the shorter
+# one whole, so a concurrent reader only ever sees a complete table; a row
+# filled twice is filled with the same value.
+_DEGREES: dict[FieldSpec, tuple[list[int], list[_Degree | None]]] = {}
 
 
-def _degrees(spec: FieldSpec, cofactor: int) -> list[_Degree]:
-    table = _DEGREES.get(spec, [])
+def _first_degree(q: int) -> int:
+    return {2: 2, 3: 3}.get(q, 1)
+
+
+def _degrees(spec: FieldSpec,
+             cofactor: int) -> tuple[list[int], list[_Degree | None]]:
+    values, rows = _DEGREES.get(spec, ((), ()))
     q = spec.q
-    d = table[-1].d + 1 if table else {2: 2, 3: 3}.get(q, 1)
+    d = _first_degree(q) + len(values)
     if q**d - 1 <= cofactor:
-        table = list(table)
+        values, rows = list(values), list(rows)
         while (value := q**d - 1) <= cofactor:
-            table.append(_Degree(d, value, _primitive_part(q, d), spec.pi(d)))
+            values.append(value)
+            rows.append(None)
             d += 1
-        _DEGREES[spec] = table
-    return table
+        _DEGREES[spec] = values, rows
+    return values, rows
+
+
+def _row(spec: FieldSpec, rows: list[_Degree | None], i: int) -> _Degree:
+    """Row i of a ``_degrees`` table, filled on its first visit: the walk
+    in ``represent`` often skips most rows, and u_d and pi_q(d) cost far
+    more than q**d - 1."""
+    row = rows[i]
+    if row is None:
+        q = spec.q
+        d = _first_degree(q) + i
+        row = rows[i] = _Degree(d, q**d - 1, _primitive_part(q, d), spec.pi(d))
+    return row
 
 
 def represent(n: int, spec: FieldSpec) -> list[Representation]:
@@ -174,8 +191,8 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         return []  # the p-part cannot come from a power of q
     j = v // s
     cofactor = n // q**j
-    degrees = _degrees(spec, cofactor)
-    top = bisect_right(degrees, cofactor, key=attrgetter("value"))
+    values, rows = _degrees(spec, cofactor)
+    top = bisect_right(values, cofactor)
     found: list[Representation] = []
 
     def leaf(rem: int, counts: dict[int, int]) -> None:
@@ -202,12 +219,12 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         found.append(Representation(j, counts))
 
     def walk(stop: int, rem: int, counts: dict[int, int]) -> None:
-        # degrees[:stop] remain, largest first; counts holds the
+        # rows[:stop] remain, largest first; counts holds the
         # multiplicities chosen above them, in descending degree order.
         for i in range(stop - 1, -1, -1):
-            d, value, primitive, cap = degrees[i]
-            if value > rem:
+            if values[i] > rem:
                 continue
+            d, value, primitive, cap = rows[i] or _row(spec, rows, i)
             if primitive == 1:  # a Zsigmondy exception: branch on m_d
                 walk(i, rem, dict(counts))
                 m_d = 0
@@ -304,7 +321,17 @@ def _min_phi(spec: FieldSpec, degree: int) -> int:
 
 
 def min_phi(spec: FieldSpec, degree: int) -> int:
-    """Smallest totient value attainable by signature data of this degree."""
+    """Smallest totient value attainable by signature data of this degree.
+
+    Signature data of degree D are counts m_d <= pi_q(d) with prime weight
+    w = sum d*m_d <= D, of value q**(D - w) prod (q**d - 1)**m_d.  min_phi
+    never decreases in D: take data of degree D + 1 attaining the minimum.
+    If w < D + 1, one factor q less gives data of degree D.  Otherwise pick
+    d with m_d >= 1 and trade one factor q**d - 1 for q**(d - 1), which is
+    no larger: m_d drops by one and the q-power rises by d - 1.  Either way
+    the degree drops by one and the value does not rise, so
+    min_phi(D) <= min_phi(D + 1).
+    """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     return _min_phi(spec, degree)
@@ -465,18 +492,24 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
     """Every monic f with phi(f) = n, by exhaustive enumeration up to the
     degree bound; sorted by (degree, coefficient codes).
 
-    Raises ValueError when that means more than ``LIST_LIMIT`` monics.
+    Raises ValueError when that means more than ``LIST_LIMIT`` monics,
+    before computing the bound.  Let D be the first degree at which the
+    monics of degree 1..D pass the limit.  The bound is the largest degree
+    with min_phi <= n, and min_phi never decreases, so the bound reaches D
+    exactly when min_phi(D) <= n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    max_deg = degree_bound(n, spec)
-    monics = sum(spec.q**d for d in range(1, max_deg + 1))
-    if monics > LIST_LIMIT:
+    monics = limit_deg = 0
+    while monics <= LIST_LIMIT:
+        limit_deg += 1
+        monics += spec.q**limit_deg
+    if _min_phi(spec, limit_deg) <= n:
         raise ValueError(
             f"listing the preimages of {n} over F_{spec.q} means enumerating "
-            f"{monics} monics up to degree {max_deg}; the limit is "
-            f"{LIST_LIMIT}")
-    return list(phi_table(spec, max_deg).get(n, ()))
+            f"at least the {monics} monics up to degree {limit_deg}; the "
+            f"limit is {LIST_LIMIT}")
+    return list(phi_table(spec, degree_bound(n, spec)).get(n, ()))
 
 
 # -- classification -----------------------------------------------------------

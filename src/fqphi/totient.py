@@ -15,18 +15,17 @@ the monic associate, so units never matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly, factor
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """deg f together with {d: m_d(f)}; only d with m_d >= 1 are stored."""
 
     degree: int
-    counts: dict[int, int] = dataclass_field(default_factory=dict)
+    counts: dict[int, int]
 
     def count(self, d: int) -> int:
         return self.counts.get(d, 0)
@@ -36,8 +35,7 @@ class Signature:
         return sum(d * m for d, m in self.counts.items())
 
 
-@dataclass(frozen=True)
-class PhiValue:
+class PhiValue(NamedTuple):
     """Totient in factored form (j, {d: m_d}) plus its exact integer value."""
 
     j: int
@@ -45,8 +43,7 @@ class PhiValue:
     value: int
 
 
-@dataclass(frozen=True)
-class SigmaExponents:
+class SigmaExponents(NamedTuple):
     """Signed exponents {d: k_d} of the (q**d - 1) expansion of sigma."""
 
     exps: dict[int, int]

@@ -20,9 +20,9 @@ the defaults are the full verification grids, which live only here:
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 from math import comb
+from typing import NamedTuple
 
 from . import collision, density, erdos, numtheory, preimage
 from .errors import CounterexampleError
@@ -30,30 +30,27 @@ from .gfpoly import FieldSpec, enumerate_irreducibles, pi_divisibility_holds
 from .totient import Signature
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(namedtuple("Budgets", ("degree", "n", "y"))):
     """Caps for the sweeps; None means the full default grid.
 
     Each field is set by the CLI flag ``--budget-<field>`` and must be >= 1.
     """
 
-    degree: int | None = None
-    n: int | None = None
-    y: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __new__(cls, degree: int | None = None, n: int | None = None,
+                y: int | None = None):
+        self = super().__new__(cls, degree, n, y)
+        for name, value in zip(self._fields, self):
             if value is not None and value < 1:
-                raise ValueError(
-                    f"--budget-{field.name} must be >= 1, got {value}")
+                raise ValueError(f"--budget-{name} must be >= 1, got {value}")
+        return self
 
     def cap(self, name: str, default: int) -> int:
         """The sweep bound for ``name``: its default, lowered to the budget."""
@@ -350,5 +347,6 @@ def run_suite(name: str, budgets: Budgets = Budgets()) -> list[CheckResult]:
             out.extend(_SUITE_FUNCS[suite](budgets))
         return out
     if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
     return _SUITE_FUNCS[name](budgets)

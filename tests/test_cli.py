@@ -218,6 +218,13 @@ class TestVerifyCommand:
                              flag, "0")
         assert code == 2 and out == "" and flag in err
 
+    def test_unknown_suite(self, capsys):
+        from fqphi.verify import SUITES
+
+        code, out, err = run(capsys, "verify", "nosuch", "--p", "2")
+        assert code == 2 and out == "" and "nosuch" in err
+        assert all(repr(suite) in err for suite in SUITES + ("all",))
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -250,6 +257,14 @@ class TestEnumerationLimit:
         # 2**31 - 1 is in the q = 2 intersection
         proc = self.run_cli(
             "erdos", "witness", "--p", "2", "--n", str(2**31 - 1))
+        assert proc.returncode == 2 and "limit" in proc.stderr
+
+    @pytest.mark.parametrize("command", [("preimage", "list"),
+                                         ("erdos", "witness")])
+    def test_refused_before_the_degree_bound(self, command):
+        # computing the degree bound first (min_phi at each of ~1000
+        # degrees) took over 30 s; 2**1000 - 1 is in the q = 2 intersection
+        proc = self.run_cli(*command, "--p", "2", "--n", str(2**1000 - 1))
         assert proc.returncode == 2 and "limit" in proc.stderr
 
     def test_pi_beyond_the_digit_limit(self):
@@ -314,3 +329,16 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "phi", "--p", "2")[0] == 2
+
+
+def test_cold_start_imports():
+    # every command pays for what importing the CLI loads; verify loads
+    # only for `fqphi verify`, and nothing loads dataclasses (or, through
+    # it, inspect)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import sys, fqphi.cli; print(' '.join(sorted(m for m in "
+            "('dataclasses', 'inspect', 'fqphi.verify') if m in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

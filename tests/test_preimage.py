@@ -175,9 +175,17 @@ class TestForcedSearch:
         for field in self.FIELDS:
             spec = FieldSpec(*field)
             exceptions |= {(spec.q, row.d)
-                           for row in preimage._degrees(spec, spec.q**8)
+                           for row in self.table(spec, spec.q**8)
                            if row.primitive == 1}
         assert exceptions == {(2, 6), (7, 2), (31, 2)}
+
+    @staticmethod
+    def table(spec, cofactor):
+        """Every row of the degree table up to cofactor, filled."""
+        values, rows = preimage._degrees(spec, cofactor)
+        filled = [preimage._row(spec, rows, i) for i in range(len(values))]
+        assert [row.value for row in filled] == values
+        return filled
 
     def test_primitive_part_primes(self):
         for a in range(2, 13):
@@ -192,13 +200,24 @@ class TestForcedSearch:
                         not zsigmondy_has_primitive(a, 1, d)), (a, d)
 
     def test_table_rows(self, F4):
-        table = preimage._degrees(F4, 4**12)
+        table = self.table(F4, 4**12)
         assert [row.d for row in table] == list(range(1, len(table) + 1))
         assert len(table) >= 12
         for row in table:
             assert row.value == 4**row.d - 1
             assert row.primitive == preimage._primitive_part(4, row.d)
             assert row.cap == F4.pi(row.d)
+
+    def test_rows_filled_on_first_visit(self, F2, monkeypatch):
+        # the walk reaches only d = 14000: its primitive part forces
+        # m_14000 = 1 and leaves remainder 1, below every other row
+        calls = []
+        primitive_part = preimage._primitive_part
+        monkeypatch.setattr(preimage, "_DEGREES", {})
+        monkeypatch.setattr(preimage, "_primitive_part",
+                            lambda q, d: calls.append(d) or primitive_part(q, d))
+        assert preimage_count(2**14000 - 1, F2) == 4 * F2.pi(14000)
+        assert calls == [14000]
 
 
 class TestReachableSums:
@@ -319,6 +338,14 @@ class TestDegreeBound:
         assert min_phi(F2, 1) == 1   # phi(x) = 1
         assert min_phi(F2, 2) == 1   # phi(x(x+1)) = 1
         assert min_phi(F2, 3) == 2
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (3, 2)])
+    def test_min_phi_never_decreases(self, field):
+        # preimage_list's refusal rests on this
+        spec = FieldSpec(*field)
+        values = [min_phi(spec, d) for d in range(1, 31)]
+        assert values == sorted(values)
 
     def test_bound_is_sound(self, F2):
         # no preimage of n may appear above the bound
