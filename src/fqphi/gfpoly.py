@@ -262,6 +262,59 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:i])
 
 
+# -- packed multiplication over prime fields --------------------------------
+#
+# Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)): write the
+# codes of a polynomial over F_p into lanes of one integer, lowest degree in
+# the lowest lane, and a single integer product holds the coefficients of
+# the polynomial product, each in its own lane and not yet reduced mod p.
+# Lane k of a * b sums at most min(len a, len b) products of two codes
+# below p, so lanes of 8 * width bits with 2**(8 * width) > that count times
+# (p - 1)**2 never carry into each other.
+
+# Per prime p with one-byte lanes: byte value -> value mod p, for
+# bytes.translate.  Built on first use; one-byte lanes need (p - 1)**2 < 256,
+# so at most six tables (p <= 13) ever exist.
+_RESIDUES: dict[int, bytes] = {}
+
+
+def kron_width(p: int, length: int) -> int:
+    """Bytes per lane for products over F_p whose shorter factor has at
+    most ``length`` coefficients."""
+    return ((length * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def kron_pack(coeffs, width: int) -> int:
+    """The codes as one integer, ``width`` bytes per lane, lowest first."""
+    if width == 1:
+        return int.from_bytes(bytes(coeffs), "little")
+    return int.from_bytes(
+        b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def kron_unpack(value: int, p: int, width: int):
+    """The lanes of ``value`` reduced mod p, lowest first, one per lane up to
+    its highest nonzero lane: bytes for one-byte lanes, else a list."""
+    raw = value.to_bytes(
+        -(-value.bit_length() // (8 * width)) * width, "little")
+    if width == 1:
+        table = _RESIDUES.get(p)
+        if table is None:
+            table = _RESIDUES[p] = bytes(v % p for v in range(256))
+        return raw.translate(table)
+    return [int.from_bytes(raw[k:k + width], "little") % p
+            for k in range(0, len(raw), width)]
+
+
+def kron_mul(a, b, p: int):
+    """Codes of the product of two nonzero polynomials over F_p, given by
+    their codes without trailing zeros.  The top lane holds the product of
+    the two leading codes, nonzero mod p, so the result has no trailing
+    zeros either."""
+    width = kron_width(p, min(len(a), len(b)))
+    return kron_unpack(kron_pack(a, width) * kron_pack(b, width), p, width)
+
+
 class Poly:
     """A polynomial over a FieldSpec, coefficient codes in ascending degree."""
 
@@ -342,18 +395,15 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Product.  Over a prime field one packed integer multiply
+        (``kron_mul``); over an extension field the schoolbook loop on the
+        element tables."""
         fld = self._common_field(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return fld.zero()
         if fld.s == 1:
-            p = fld.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return _mk(fld, _strip([v % p for v in out]))
+            return _mk(fld, tuple(kron_mul(a, b, fld.p)))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -403,16 +453,17 @@ class Poly:
     def _common_field(self, other: "Poly") -> FieldSpec:
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if self.field != other.field:
+        fld = self.field
+        if fld is not other.field and fld != other.field:
             raise ValueError("polynomials over different fields")
-        return self.field
+        return fld
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.coeffs == other.coeffs
         )
 

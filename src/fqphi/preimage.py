@@ -41,7 +41,8 @@ from math import comb, gcd, log, prod
 from typing import Iterator, NamedTuple
 
 from .errors import CounterexampleError
-from .gfpoly import FieldSpec, Poly, enumerate_monic
+from .gfpoly import (FieldSpec, Poly, enumerate_monic, kron_pack,
+                     kron_unpack, kron_width)
 from .numtheory import GUARD, factor_int
 
 
@@ -297,27 +298,22 @@ def preimage_count(n: int, spec: FieldSpec) -> int:
 # -- degree bound and the brute-force oracle ---------------------------------
 
 
-@lru_cache(maxsize=None)
-def _min_phi(spec: FieldSpec, degree: int) -> int:
-    # Exact minimum of the factored totient over all signature data of the
-    # given degree: bounded knapsack on prime weight, then the q-power fill.
-    best: list[int | None] = [None] * (degree + 1)
-    best[0] = 1
-    for d in range(1, degree + 1):
-        b = spec.q**d - 1
-        cap = min(spec.pi(d), degree // d)
-        for _ in range(cap):
-            for w in range(degree, d - 1, -1):
-                prev = best[w - d]
-                if prev is not None:
-                    cand = prev * b
-                    if best[w] is None or cand < best[w]:
-                        best[w] = cand
-    return min(
-        value * spec.q ** (degree - w)
-        for w, value in enumerate(best)
-        if value is not None
-    )
+def _min_phis(spec: FieldSpec, top: int) -> list[int]:
+    # Entry D is the exact minimum of the factored totient over signature
+    # data of degree D, for D = 0..top: one bounded knapsack on prime weight,
+    # started from the q-power fill q**D of the empty data.  Entry D stays a
+    # value of degree-D data because every update adds weight d to an entry
+    # of weight D - d.
+    q = spec.q
+    best = [q**w for w in range(top + 1)]
+    for d in range(1, top + 1):
+        b = q**d - 1
+        for _ in range(min(spec.pi(d), top // d)):
+            for w in range(top, d - 1, -1):
+                cand = best[w - d] * b
+                if cand < best[w]:
+                    best[w] = cand
+    return best
 
 
 def min_phi(spec: FieldSpec, degree: int) -> int:
@@ -334,7 +330,7 @@ def min_phi(spec: FieldSpec, degree: int) -> int:
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    return _min_phi(spec, degree)
+    return _min_phis(spec, degree)[degree]
 
 
 def degree_bound(n: int, spec: FieldSpec) -> int:
@@ -350,10 +346,11 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
 
     So once L(D) > n, no monic of degree >= D has totient n.  Below that
     degree min_phi(d) is the exact minimum of phi over degree d, and the
-    bound is the largest such d with min_phi(d) <= n.  The walk sums a
-    lower bound on log L, using log(1 - x) >= -x / (1 - x), and stops only
-    with a margin of GUARD, so neither the bound nor rounding can stop it
-    early; they can only delay the stop.
+    bound is the largest such d with min_phi(d) <= n; one knapsack pass up
+    to the stop degree gives min_phi at every degree below it.  The walk
+    sums a lower bound on log L, using log(1 - x) >= -x / (1 - x), and
+    stops only with a margin of GUARD, so neither the bound nor rounding
+    can stop it early; they can only delay the stop.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -361,16 +358,13 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
     log_n = log(n)
     log_q = log(q)
     log_l = 0.0
-    last_ok = 0
-    d = 0
-    while True:
-        d += 1
+    stop = 0
+    while log_l - log_n <= GUARD * max(1.0, log_n):
+        stop += 1
         # log(1 - q**-d) >= -1 / (q**d - 1); the ratio never underflows
-        log_l += log_q - spec.pi(d) / (q**d - 1)
-        if log_l - log_n > GUARD * max(1.0, log_n):
-            return last_ok
-        if _min_phi(spec, d) <= n:
-            last_ok = d
+        log_l += log_q - spec.pi(stop) / (q**stop - 1)
+    phis = _min_phis(spec, stop - 1)
+    return max((d for d in range(1, stop) if phis[d] <= n), default=0)
 
 
 def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
@@ -389,47 +383,63 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
         sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
 
     give the values without ``factor``, the Rabin test or any counting
-    formula; the only arithmetic trusted is ``Poly.__mul__``.  Two
-    invariants are checked as each degree is built, and raise
-    CounterexampleError: no monic is reached twice, and degree d has exactly
-    pi_q(d) irreducibles.
+    formula; the only arithmetic trusted is polynomial multiplication.
+    Over a prime field that is the packed kernel of ``gfpoly``
+    (``kron_pack``/``kron_unpack``, one lane width for the whole build):
+    each P is packed once, each g once per degree of P, and a product is
+    one integer multiply.  Over an extension field it is ``Poly.__mul__``.
+    Three invariants are checked as each degree is built, and raise
+    CounterexampleError: every product is a monic of degree d, no monic is
+    reached twice, and degree d has exactly pi_q(d) irreducibles.
     """
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-    q = spec.q
+    q, p = spec.q, spec.p
+    packed = spec.s == 1
+    # One lane width serves the whole build: P has degree <= max_deg // 2.
+    width = kron_width(p, max_deg // 2 + 1)
     irreducibles: list[Poly] = []
+    # The irreducibles that can be a smallest factor P, packed once over a
+    # prime field; those of degree e have indices starts[e]..starts[e+1]-1.
+    factors: list = []
+    starts = [0, 0]
     # Monics of each degree below max_deg and their states, in enumeration
     # order; a monic's position there is its tail read as base-q digits.
     polys: list[list[Poly]] = [[]]
     states: list[list[tuple | None]] = [[]]
     for d in range(1, max_deg + 1):
         level_states: list[tuple | None] = [None] * q**d
-        for i, small in enumerate(irreducibles):
-            e = small.degree
-            if 2 * e > d:
-                break
+        for e in range(1, d // 2 + 1):
+            lo, hi = starts[e], starts[e + 1]
             size = q**e
             for g, (gi, gpp, gsig, gphi, _) in zip(polys[d - e], states[d - e]):
-                if gi < i:
+                if gi < lo:
                     continue
-                if gi == i:  # small already divides g: one more power
-                    pp = gpp * size
-                    state = (i, pp, gsig * (pp * size - 1) // (pp - 1),
-                             gphi * size, g)
-                else:
-                    state = (i, size, gsig * (size + 1), gphi * (size - 1), g)
-                product = (small * g).coeffs
-                if len(product) != d + 1 or product[-1] != 1:
-                    raise CounterexampleError(
-                        f"sieve over F_{q}: ({small})*({g}) is not a monic "
-                        f"of degree {d}")
-                pos = 0
-                for c in product[:-1]:
-                    pos = pos * q + c
-                if level_states[pos] is not None:
-                    raise CounterexampleError(
-                        f"sieve over F_{q} reached {spec.poly(product)} twice")
-                level_states[pos] = state
+                packed_g = kron_pack(g.coeffs, width) if packed else g
+                for i in range(lo, min(hi, gi + 1)):
+                    if gi == i:  # P already divides g: one more power
+                        pp = gpp * size
+                        state = (i, pp, gsig * (pp * size - 1) // (pp - 1),
+                                 gphi * size, g)
+                    else:
+                        state = (i, size, gsig * (size + 1), gphi * (size - 1),
+                                 g)
+                    if packed:
+                        product = kron_unpack(factors[i] * packed_g, p, width)
+                    else:
+                        product = (factors[i] * g).coeffs
+                    if len(product) != d + 1 or product[-1] != 1:
+                        raise CounterexampleError(
+                            f"sieve over F_{q}: ({irreducibles[i]})*({g}) is "
+                            f"not a monic of degree {d}")
+                    pos = 0
+                    for c in product[:-1]:
+                        pos = pos * q + c
+                    if level_states[pos] is not None:
+                        raise CounterexampleError(
+                            f"sieve over F_{q} reached {spec.poly(product)} "
+                            f"twice")
+                    level_states[pos] = state
         level: list[Poly] = []
         size = q**d
         found = 0
@@ -438,6 +448,9 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
             if state is None:
                 state = (len(irreducibles), size, size + 1, size - 1, None)
                 irreducibles.append(f)
+                if 2 * d <= max_deg:
+                    factors.append(
+                        kron_pack(f.coeffs, width) if packed else f)
                 found += 1
             if d < max_deg:
                 level.append(f)
@@ -450,6 +463,7 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
             raise CounterexampleError(
                 f"sieve over F_{q} found {found} irreducibles of degree {d}, "
                 f"pi_q({d}) = {spec.pi(d)}")
+        starts.append(len(irreducibles))
         polys.append(level)
         states.append(level_states)
 
@@ -504,7 +518,7 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
     while monics <= LIST_LIMIT:
         limit_deg += 1
         monics += spec.q**limit_deg
-    if _min_phi(spec, limit_deg) <= n:
+    if min_phi(spec, limit_deg) <= n:
         raise ValueError(
             f"listing the preimages of {n} over F_{spec.q} means enumerating "
             f"at least the {monics} monics up to degree {limit_deg}; the "

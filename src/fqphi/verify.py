@@ -285,9 +285,9 @@ def suite_lemmas(budgets: Budgets = Budgets()) -> list[CheckResult]:
         f"formula {formula}, enumeration {enum}"))
     bad = [
         (q, d)
-        for q in (3, 4, 5, 7, 9)
+        for q, spec in ((q, _spec(q)) for q in (3, 4, 5, 7, 9))
         for d in range(1, 25)
-        if not pi_divisibility_holds(_spec(q), d)
+        if not pi_divisibility_holds(spec, d)
     ]
     results.append(CheckResult(
         "p | pi_q(d) or 4 | pi_q(d), q in {3,4,5,7,9}, d<=24",

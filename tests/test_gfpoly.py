@@ -17,6 +17,7 @@ from fqphi import (
     poly_to_text,
     powmod,
 )
+from fqphi.gfpoly import kron_mul, kron_width
 from fqphi.numtheory import mobius
 
 FIELDS = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
@@ -167,6 +168,76 @@ class TestRingProperties:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
+
+
+def schoolbook(a, b):
+    """Reference product straight from the definition, on field elements."""
+    spec = a.field
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = spec.add(out[i + j], spec.mul(x, y))
+    return Poly(spec, out)
+
+
+# one-byte lanes; wider lanes (F_11 and F_13 once the shorter factor has
+# three and two coefficients, always F_257 and F_(2^31 - 1)); the
+# extension-field table path
+KERNEL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (257, 1),
+                 (2**31 - 1, 1), (2, 2), (3, 2)]
+
+
+class TestPackedMul:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_schoolbook(self, field, data):
+        spec = FieldSpec(*field)
+        a = data.draw(polys(spec, max_deg=12))
+        b = data.draw(polys(spec, max_deg=12))
+        assert a * b == schoolbook(a, b)
+        assert (a * b).coeffs == schoolbook(a, b).coeffs
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+    def test_zero_and_constant_operands(self, field):
+        spec = FieldSpec(*field)
+        f = Poly(spec, [1, spec.q - 1, 0, 2 % spec.q, 1])
+        for c in (0, 1, spec.q - 1):
+            k = spec.constant(c)
+            assert k * f == f * k == schoolbook(k, f)
+            assert k * k == schoolbook(k, k)
+        assert (spec.zero() * f).is_zero() and (f * spec.zero()).is_zero()
+
+    def test_lane_width_boundary(self):
+        # one byte holds n * (p - 1)**2 while it is below 256: n <= 7 for F_7
+        assert kron_width(7, 7) == 1 and kron_width(7, 8) == 2
+        assert kron_width(2, 255) == 1 and kron_width(2, 256) == 2
+        assert kron_width(11, 2) == 1 and kron_width(11, 3) == 2
+        assert kron_width(13, 1) == 1 and kron_width(13, 2) == 2
+
+    @pytest.mark.parametrize("short", [7, 8])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_both_sides_of_the_byte_lane(self, short, data):
+        # all codes p - 1 maximise every lane: 8 * 36 = 288 overflows a byte
+        spec = FieldSpec(7)
+        a = Poly(spec, data.draw(st.lists(st.integers(0, 6), min_size=short - 1,
+                                          max_size=short - 1)) + [6])
+        b = Poly(spec, data.draw(st.lists(st.integers(0, 6), min_size=short,
+                                          max_size=3 * short)) + [6])
+        assert a * b == schoolbook(a, b)
+        full = Poly(spec, [6] * short)
+        assert full * full == schoolbook(full, full)
+
+    def test_large_degree(self, F2):
+        f = Poly(F2, [(k * k) % 3 % 2 for k in range(300)] + [1])
+        g = Poly(F2, [k % 2 for k in range(257)] + [1])
+        assert f * g == schoolbook(f, g)
+
+    def test_kernel_returns_unstripped_length(self):
+        # the top lane holds the product of the leading codes, never 0 mod p
+        assert list(kron_mul((1, 2), (0, 3), 5)) == [0, 3, 1]
+        assert list(kron_mul((4,), (4,), 5)) == [1]
 
 
 class TestIrreducibility:

@@ -1,6 +1,7 @@
 import random
+import time
 from itertools import product
-from math import comb, gcd, prod
+from math import comb, gcd, log, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from fqphi import (
 )
 from fqphi import preimage
 from fqphi.numtheory import (
+    GUARD,
     factor_int,
     primitive_prime_divisors,
     zsigmondy_has_primitive,
@@ -307,13 +309,13 @@ class TestDegreeBound:
         assert degree_bound(4, F5) == 1
 
     @staticmethod
-    def three_miss_bound(n, spec):
+    def three_miss_bound(n, phis):
         # the earlier heuristic: stop after three consecutive degrees whose
-        # minimum totient exceeds n
+        # minimum totient exceeds n; phis[d] is min_phi(d)
         last_ok = misses = d = 0
         while misses < 3:
             d += 1
-            if min_phi(spec, d) <= n:
+            if phis[d] <= n:
                 last_ok, misses = d, 0
             else:
                 misses += 1
@@ -326,13 +328,13 @@ class TestDegreeBound:
         rng = random.Random(spec.q)
         ns = set(range(1, 200)) | {10**k for k in range(31)}
         ns |= {rng.randrange(1, 10 ** rng.randint(1, 30)) for _ in range(60)}
-        d = 1
-        while min_phi(spec, d) <= 10**30:  # both sides of every step
-            m = min_phi(spec, d)
-            ns |= {m - 1, m, m + 1}
-            d += 1
+        phis = [None]  # phis[d] = min_phi(d), three degrees past 10**30
+        while len(phis) < 4 or min(phis[-3:]) <= 10**30:
+            m = min_phi(spec, len(phis))
+            phis.append(m)
+            ns |= {m - 1, m, m + 1}  # both sides of every step
         for n in sorted(n for n in ns if 1 <= n <= 10**30):
-            assert degree_bound(n, spec) == self.three_miss_bound(n, spec), n
+            assert degree_bound(n, spec) == self.three_miss_bound(n, phis), n
 
     def test_min_phi_values(self, F2):
         assert min_phi(F2, 1) == 1   # phi(x) = 1
@@ -346,6 +348,57 @@ class TestDegreeBound:
         spec = FieldSpec(*field)
         values = [min_phi(spec, d) for d in range(1, 31)]
         assert values == sorted(values)
+
+    @staticmethod
+    def exact_weight_min_phi(spec, degree):
+        # reference: the knapsack min_phi ran once per degree, on exact
+        # prime weight, with the q-power fill applied afterwards
+        best = [None] * (degree + 1)
+        best[0] = 1
+        for d in range(1, degree + 1):
+            b = spec.q**d - 1
+            for _ in range(min(spec.pi(d), degree // d)):
+                for w in range(degree, d - 1, -1):
+                    prev = best[w - d]
+                    if prev is not None:
+                        cand = prev * b
+                        if best[w] is None or cand < best[w]:
+                            best[w] = cand
+        return min(value * spec.q ** (degree - w)
+                   for w, value in enumerate(best) if value is not None)
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (3, 2)])
+    def test_min_phi_matches_per_degree_knapsack(self, field):
+        spec = FieldSpec(*field)
+        for d in range(1, 41):
+            assert min_phi(spec, d) == self.exact_weight_min_phi(spec, d), d
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (3, 2)])
+    def test_bound_matches_per_degree_walk(self, field):
+        # reference: the walk that ran the knapsack at each degree it passed
+        spec = FieldSpec(*field)
+        phis = [None] + [self.exact_weight_min_phi(spec, d)
+                         for d in range(1, 110)]
+        rng = random.Random(7 * spec.q)
+        ns = {rng.randrange(1, 10 ** rng.randint(1, 30)) for _ in range(80)}
+        for n in sorted(ns | {1, 10**30}):
+            log_l, last_ok, d = 0.0, 0, 0
+            while True:
+                d += 1
+                log_l += log(spec.q) - spec.pi(d) / (spec.q**d - 1)
+                if log_l - log(n) > GUARD * max(1.0, log(n)):
+                    break
+                if phis[d] <= n:
+                    last_ok = d
+            assert degree_bound(n, spec) == last_ok, n
+
+    def test_bound_at_2_300_is_fast(self, F2):
+        # one knapsack pass, not one per degree (3 s before)
+        start = time.perf_counter()
+        assert degree_bound(2**300 - 1, F2) == 303
+        assert time.perf_counter() - start < 1.0
 
     def test_bound_is_sound(self, F2):
         # no preimage of n may appear above the bound

@@ -22,9 +22,13 @@ from fqphi import (
     signature,
 )
 from fqphi import preimage
+from fqphi.gfpoly import kron_unpack
 from fqphi.preimage import sieve
 
-GRIDS = [((2, 1), 10), ((3, 1), 6), ((2, 2), 4), ((5, 1), 4), ((3, 2), 3)]
+# F_11 to degree 3 packs its products in one-byte lanes at the edge
+# (2 * 10**2 = 200 < 256); F_13 to degree 3 needs two-byte lanes.
+GRIDS = [((2, 1), 10), ((3, 1), 6), ((2, 2), 4), ((5, 1), 4), ((3, 2), 3),
+         ((11, 1), 3), ((13, 1), 3)]
 
 
 def sieve_factorization(entry, entries):
@@ -97,9 +101,32 @@ def test_wrong_irreducible_count_raises(monkeypatch):
 def test_monic_reached_twice_raises(monkeypatch):
     # a multiplication that returns x**deg for every product: the second
     # product of a degree lands on a monic the sieve has already reached
-    def collapsing_mul(self, other):
-        return Poly(self.field, (0,) * (self.degree + other.degree) + (1,))
+    def collapsing_mul(value, p, width):
+        return (0,) * (len(kron_unpack(value, p, width)) - 1) + (1,)
 
-    monkeypatch.setattr(Poly, "__mul__", collapsing_mul)
+    monkeypatch.setattr(preimage, "kron_unpack", collapsing_mul)
     with pytest.raises(CounterexampleError, match="twice"):
         phi_table(FieldSpec(2), 3)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda codes: codes + (1,),          # one degree too many
+    lambda codes: codes[:-1] + (2,),     # not monic
+])
+def test_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
+    def broken_mul(value, p, width):
+        return wrong(tuple(kron_unpack(value, p, width)))
+
+    monkeypatch.setattr(preimage, "kron_unpack", broken_mul)
+    with pytest.raises(CounterexampleError,
+                       match=r"\(x\)\*\(x\) is not a monic of degree 2"):
+        phi_table(FieldSpec(3), 2)
+
+
+def test_extension_field_products_checked(monkeypatch):
+    # over F_4 the sieve multiplies with Poly.__mul__
+    spec = FieldSpec(2, 2)  # before the patch: the modulus search multiplies
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda self, other: Poly(self.field, (0, 0, 0, 1)))
+    with pytest.raises(CounterexampleError, match="not a monic of degree 2"):
+        phi_table(spec, 2)
