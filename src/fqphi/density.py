@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec
-from .numtheory import GUARD
+from .numtheory import GUARD, ilog
 from .preimage import reachable_sums
 
 
@@ -43,9 +43,6 @@ def phi_values_up_to(y: int, spec: FieldSpec) -> list[int]:
     if y < 1:
         raise ValueError(f"need y >= 1, got {y}")
     q = spec.q
-    d_max = 0
-    while q ** (d_max + 1) - 1 <= y:
-        d_max += 1
     values: set[int] = set()
 
     def emit(prod_: int, support: tuple[int, ...]) -> None:
@@ -57,9 +54,7 @@ def phi_values_up_to(y: int, spec: FieldSpec) -> list[int]:
                 values.add(value)
                 value *= q
             return
-        j_max = 0
-        while prod_ * q ** (j_max + 1) <= y:
-            j_max += 1
+        j_max = ilog(y // prod_, q)  # the largest j with prod_ * q**j <= y
         for j, reachable in enumerate(reachable_sums(support, j_max)):
             if reachable:
                 values.add(prod_ * q**j)
@@ -80,15 +75,13 @@ def phi_values_up_to(y: int, spec: FieldSpec) -> list[int]:
             m += 1
             rec(d - 1, current, support + (d,))
 
-    rec(d_max, 1, ())
+    rec(ilog(y + 1, q), 1, ())  # the largest d with q**d - 1 <= y
     return sorted(values)
 
 
 def density_bound(y: int, spec: FieldSpec) -> tuple[int, float]:
     """(k, 2 q k (e^2/2)^(k/2)) with k the exact integer floor of log_q y."""
-    k = 0
-    while spec.q ** (k + 1) <= y:
-        k += 1
+    k = ilog(y, spec.q)
     return k, 2.0 * spec.q * k * (math.e**2 / 2.0) ** (k / 2.0)
 
 

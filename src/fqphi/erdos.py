@@ -1,18 +1,27 @@
 """Common values of the polynomial totient and sum-of-divisors functions.
 
-For q outside {2, 3} the two value sets never meet.  For q = 3 the
-intersection is exactly the products (3**d1 - 1)(3**d2 - 1), d1, d2 >= 1.
-For q = 2 it is a union of seven product families over the numbers
-2**d - 1, tried in a fixed order so the reported family tag and parameters
-are deterministic (families overlap; the first match wins).
+The paper's answer is a table, and ``_FAMILIES`` holds it as data, per q:
+each family is a product of numbers q**d - 1, some with fixed degrees and
+the rest free slots, each slot with a least degree and an optional
+condition.  For q outside {2, 3} the two value sets never meet.  For q = 3
+the intersection is exactly the products (3**d1 - 1)(3**d2 - 1),
+d1, d2 >= 1.  For q = 2 it is a union of seven families.
+
+Families overlap, so they are tried in a fixed order and the first match
+wins; the slots are walked with ascending degrees, so a family's first
+match has the smallest parameters, and the reported tag and parameters are
+deterministic.  For q = 3 the first match has d1 <= d2: if (d1, d2)
+matched with d1 > d2, then (d2, d1) would have matched first.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly
+from .numtheory import ilog
 from .preimage import preimage_list, sieve
 
 
@@ -31,43 +40,42 @@ def _div23(d: int) -> bool:
 
 class _Family(NamedTuple):
     tag: str
-    fixed: tuple[int, ...]  # degrees of constant (2**d - 1) factors
+    fixed: tuple[int, ...]  # degrees of constant (q**d - 1) factors
     slots: tuple[tuple[int, Callable[[int], bool] | None], ...]
 
 
-_Q2_FAMILIES = (
-    _Family("(2^d1-1)", (), ((2, None),)),
-    _Family("(2^2-1)(2^d1-1)", (2,), ((3, _div23),)),
-    _Family("(2^2-1)(2^3-1)(2^d1-1)", (2, 3), ((3, None),)),
-    _Family("(2^d1-1)(2^d2-1)", (), ((2, None), (3, None))),
-    _Family("(2^2-1)(2^3-1)(2^d1-1)(2^d2-1)", (2, 3), ((3, None), (4, None))),
-    _Family("(2^2-1)(2^d1-1)(2^d2-1)", (2,), ((4, _div23), (4, None))),
-    _Family(
-        "(2^2-1)(2^d1-1)(2^d2-1)(2^d3-1)",
-        (2,),
-        ((4, _div23), (4, None), (4, None)),
+_FAMILIES = {
+    2: (
+        _Family("(2^d1-1)", (), ((2, None),)),
+        _Family("(2^2-1)(2^d1-1)", (2,), ((3, _div23),)),
+        _Family("(2^2-1)(2^3-1)(2^d1-1)", (2, 3), ((3, None),)),
+        _Family("(2^d1-1)(2^d2-1)", (), ((2, None), (3, None))),
+        _Family("(2^2-1)(2^3-1)(2^d1-1)(2^d2-1)", (2, 3),
+                ((3, None), (4, None))),
+        _Family("(2^2-1)(2^d1-1)(2^d2-1)", (2,), ((4, _div23), (4, None))),
+        _Family("(2^2-1)(2^d1-1)(2^d2-1)(2^d3-1)", (2,),
+                ((4, _div23), (4, None), (4, None))),
     ),
-)
+    3: (_Family("(3^d1-1)(3^d2-1)", (), ((1, None), (1, None))),),
+}
 
 
-def _family_value(fam: _Family, params: tuple[int, ...]) -> int:
-    value = 1
-    for d in fam.fixed:
-        value *= 2**d - 1
-    for d in params:
-        value *= 2**d - 1
-    return value
+def _family_value(q: int, degrees: tuple[int, ...]) -> int:
+    return prod(q**d - 1 for d in degrees)
 
 
-def _match_slots(slots, value: int) -> tuple[int, ...] | None:
-    if not slots:
-        return () if value == 1 else None
+def _match_slots(q: int, slots, value: int) -> tuple[int, ...] | None:
+    """The first degrees, in ascending order, whose q**d - 1 fill the slots
+    with product value; None when there are none."""
     (d_min, cond), rest = slots[0], slots[1:]
+    if not rest:  # value itself must be q**d - 1
+        d = ilog(value + 1, q)
+        ok = q**d - 1 == value and d >= d_min and (cond is None or cond(d))
+        return (d,) if ok else None
     d = d_min
-    while 2**d - 1 <= value:
-        factor = 2**d - 1
+    while (factor := q**d - 1) <= value:
         if (cond is None or cond(d)) and value % factor == 0:
-            sub = _match_slots(rest, value // factor)
+            sub = _match_slots(q, rest, value // factor)
             if sub is not None:
                 return (d,) + sub
         d += 1
@@ -79,41 +87,18 @@ def intersection_member(n: int, spec: FieldSpec) -> IntersectionVerdict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q = spec.q
-    if q == 3:
-        d1 = 1
-        while (3**d1 - 1) ** 2 <= n:
-            part = 3**d1 - 1
-            if n % part == 0:
-                rest = n // part
-                d2 = d1
-                while 3**d2 - 1 <= rest:
-                    if 3**d2 - 1 == rest:
-                        return IntersectionVerdict(
-                            n, True, "(3^d1-1)(3^d2-1)", (d1, d2))
-                    d2 += 1
-            d1 += 1
-        return IntersectionVerdict(n, False)
-    if q == 2:
-        for fam in _Q2_FAMILIES:
-            value = n
-            ok = True
-            for d in fam.fixed:
-                factor = 2**d - 1
-                if value % factor:
-                    ok = False
-                    break
-                value //= factor
-            if not ok:
-                continue
-            params = _match_slots(fam.slots, value)
-            if params is not None:
-                if _family_value(fam, params) != n:
-                    raise CounterexampleError(
-                        f"family {fam.tag} instantiation {params} does not "
-                        f"reproduce {n}")
-                return IntersectionVerdict(n, True, fam.tag, params)
-        return IntersectionVerdict(n, False)
-    return IntersectionVerdict(n, False)  # empty intersection for q >= 4
+    for fam in _FAMILIES.get(q, ()):  # none for q >= 4: the sets never meet
+        fixed = _family_value(q, fam.fixed)
+        if n % fixed:
+            continue
+        params = _match_slots(q, fam.slots, n // fixed)
+        if params is not None:
+            if _family_value(q, fam.fixed + params) != n:
+                raise CounterexampleError(
+                    f"family {fam.tag} instantiation {params} does not "
+                    f"reproduce {n}")
+            return IntersectionVerdict(n, True, fam.tag, params)
+    return IntersectionVerdict(n, False)
 
 
 def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
@@ -121,38 +106,21 @@ def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
     if y < 1:
         raise ValueError(f"need y >= 1, got {y}")
     q = spec.q
-    if q == 3:
-        out = set()
-        d1 = 1
-        while (3**d1 - 1) ** 2 <= y:
-            d2 = d1
-            while (3**d1 - 1) * (3**d2 - 1) <= y:
-                out.add((3**d1 - 1) * (3**d2 - 1))
-                d2 += 1
-            d1 += 1
-        return sorted(out)
-    if q != 2:
-        return []
     out = set()
-    for fam in _Q2_FAMILIES:
-        prefix = 1
-        for d in fam.fixed:
-            prefix *= 2**d - 1
-        if prefix > y:
-            continue
 
-        def fill(slots, value: int) -> None:
-            if not slots:
-                out.add(value)
-                return
-            (d_min, cond), rest = slots[0], slots[1:]
-            d = d_min
-            while value * (2**d - 1) <= y:
-                if cond is None or cond(d):
-                    fill(rest, value * (2**d - 1))
-                d += 1
+    def fill(slots, value: int) -> None:
+        if not slots:
+            out.add(value)
+            return
+        (d_min, cond), rest = slots[0], slots[1:]
+        d = d_min
+        while value * (q**d - 1) <= y:
+            if cond is None or cond(d):
+                fill(rest, value * (q**d - 1))
+            d += 1
 
-        fill(fam.slots, prefix)
+    for fam in _FAMILIES.get(q, ()):
+        fill(fam.slots, _family_value(q, fam.fixed))
     return sorted(out)
 
 
@@ -172,10 +140,7 @@ def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
         raise CounterexampleError(
             f"{n} matched family {verdict.family} but has no totient preimage")
     f = preimages[0]
-    max_deg = 0
-    while spec.q ** (max_deg + 1) <= n:
-        max_deg += 1
-    for entry in sieve(spec, max_deg):
+    for entry in sieve(spec, ilog(n, spec.q)):
         g = entry.poly
         if entry.sigma < g.size():
             raise CounterexampleError(

@@ -81,12 +81,7 @@ class FieldSpec:
     def _find_modulus(self) -> tuple[int, ...]:
         # Lexicographically smallest monic irreducible of degree s over F_p,
         # candidates ordered low-degree-coefficient-first.
-        base = FieldSpec(self.p, 1)
-        for tail in product(range(self.p), repeat=self.s):
-            cand = Poly(base, tail + (1,))
-            if is_irreducible(cand):
-                return tail + (1,)
-        raise AssertionError("no irreducible modulus found")  # cannot happen
+        return next(enumerate_irreducibles(FieldSpec(self.p), self.s)).coeffs
 
     def _build_tables(self) -> None:
         q, p, s = self.q, self.p, self.s

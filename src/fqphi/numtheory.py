@@ -31,6 +31,24 @@ _PSI13 = 3317044064679887385961981
 _trial_primes: list[int] | None = None
 
 
+def ilog(m: int, b: int) -> int:
+    """The largest e with b**e <= m for m >= b, and 0 for every m < b.
+
+    The float logarithm only seeds e; the exact power test settles it.
+    """
+    if m < b:
+        return 0
+    e = int(math.log(m, b))
+    power = b**e
+    while power > m:
+        power //= b
+        e -= 1
+    while power * b <= m:
+        power *= b
+        e += 1
+    return e
+
+
 def _primes_to(limit: int) -> list[int]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0

@@ -27,9 +27,9 @@ constant polynomial 1 and is excluded everywhere.
 ``represent`` does not branch on every m_d: the primitive part of q**d - 1
 (the primes that divide no q**e - 1 with e < d) forces m_d wherever it is
 not 1, which by Zsigmondy's theorem leaves one branching degree at most
-per field.  Each field keeps a table of q**d - 1 grown to the largest
-cofactor seen, and fills a degree's primitive part and pi_q(d) only when
-the walk first reaches it; at n = 2**4000 - 1 over F_2 it has 3,999 rows,
+per field.  Each field size q keeps a table of q**d - 1 grown to the
+largest cofactor seen, and fills a degree's primitive part and pi_q(d)
+only when the walk first reaches it; at n = 2**4000 - 1 over F_2 it has 3,999 rows,
 one of them filled, about 1.2 MB.
 """
 
@@ -97,16 +97,6 @@ def reachable_sums(degrees, limit: int) -> bytearray:
     return reachable
 
 
-class _Degree(NamedTuple):
-    """One canonical degree d of a field: q**d - 1, its primitive part and
-    pi_q(d)."""
-
-    d: int
-    value: int
-    primitive: int
-    cap: int
-
-
 def _primitive_part(q: int, d: int) -> int:
     """q**d - 1 with every prime removed that divides some q**e - 1, e < d.
 
@@ -123,43 +113,30 @@ def _primitive_part(q: int, d: int) -> int:
     return part
 
 
-# Per field: q**d - 1 for the canonical degrees d, lowest first, grown to
-# the largest cofactor seen, and beside them the _Degree rows, None until
-# ``_row`` fills one on its first visit.  A longer table replaces the shorter
-# one whole, so a concurrent reader only ever sees a complete table; a row
-# filled twice is filled with the same value.
-_DEGREES: dict[FieldSpec, tuple[list[int], list[_Degree | None]]] = {}
+# The least canonical degree per q (see the module docstring), 1 elsewhere.
+_FIRST_DEGREE = {2: 2, 3: 3}
+
+# Per q: q**d - 1 for the canonical degrees d, lowest first, grown to the
+# largest cofactor seen, and beside them the rows (u_d, pi_q(d)), None until
+# the walk in ``represent`` first visits one: it often skips most rows, and
+# u_d and pi_q(d) cost far more than q**d - 1.  A longer table replaces the
+# shorter one whole, so a concurrent reader only ever sees a complete table;
+# a row filled twice is filled with the same value.
+_DEGREES: dict[int, tuple[list[int], list[tuple[int, int] | None]]] = {}
 
 
-def _first_degree(q: int) -> int:
-    return {2: 2, 3: 3}.get(q, 1)
-
-
-def _degrees(spec: FieldSpec,
-             cofactor: int) -> tuple[list[int], list[_Degree | None]]:
-    values, rows = _DEGREES.get(spec, ((), ()))
-    q = spec.q
-    d = _first_degree(q) + len(values)
+def _degrees(q: int,
+             cofactor: int) -> tuple[list[int], list[tuple[int, int] | None]]:
+    values, rows = _DEGREES.get(q, ((), ()))
+    d = _FIRST_DEGREE.get(q, 1) + len(values)
     if q**d - 1 <= cofactor:
         values, rows = list(values), list(rows)
         while (value := q**d - 1) <= cofactor:
             values.append(value)
             rows.append(None)
             d += 1
-        _DEGREES[spec] = values, rows
+        _DEGREES[q] = values, rows
     return values, rows
-
-
-def _row(spec: FieldSpec, rows: list[_Degree | None], i: int) -> _Degree:
-    """Row i of a ``_degrees`` table, filled on its first visit: the walk
-    in ``represent`` often skips most rows, and u_d and pi_q(d) cost far
-    more than q**d - 1."""
-    row = rows[i]
-    if row is None:
-        q = spec.q
-        d = _first_degree(q) + i
-        row = rows[i] = _Degree(d, q**d - 1, _primitive_part(q, d), spec.pi(d))
-    return row
 
 
 def represent(n: int, spec: FieldSpec) -> list[Representation]:
@@ -192,8 +169,9 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         return []  # the p-part cannot come from a power of q
     j = v // s
     cofactor = n // q**j
-    values, rows = _degrees(spec, cofactor)
+    values, rows = _degrees(q, cofactor)
     top = bisect_right(values, cofactor)
+    first = _FIRST_DEGREE.get(q, 1)
     found: list[Representation] = []
 
     def leaf(rem: int, counts: dict[int, int]) -> None:
@@ -223,9 +201,13 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         # rows[:stop] remain, largest first; counts holds the
         # multiplicities chosen above them, in descending degree order.
         for i in range(stop - 1, -1, -1):
-            if values[i] > rem:
+            value = values[i]
+            if value > rem:
                 continue
-            d, value, primitive, cap = rows[i] or _row(spec, rows, i)
+            d = first + i
+            if rows[i] is None:
+                rows[i] = _primitive_part(q, d), spec.pi(d)
+            primitive, cap = rows[i]
             if primitive == 1:  # a Zsigmondy exception: branch on m_d
                 walk(i, rem, dict(counts))
                 m_d = 0

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from fqphi import (
     FieldSpec,
+    erdos,
     enumerate_monic,
     erdos_witness,
     intersection_member,
@@ -26,6 +29,124 @@ def oracle_intersection(spec, y):
                 sigma_values.add(s)
         d += 1
     return sorted(phi_values & sigma_values)
+
+
+# The scanning search, kept as a reference for ``erdos``: q = 3 by two
+# hand-written loops, q = 2 by a walk that scans d upward in every slot,
+# the last one included, over the families' own data.
+
+def scan_slots(slots, value):
+    if not slots:
+        return () if value == 1 else None
+    (d_min, cond), rest = slots[0], slots[1:]
+    d = d_min
+    while 2**d - 1 <= value:
+        factor = 2**d - 1
+        if (cond is None or cond(d)) and value % factor == 0:
+            sub = scan_slots(rest, value // factor)
+            if sub is not None:
+                return (d,) + sub
+        d += 1
+    return None
+
+
+def reference_member(n, q):
+    if q == 3:
+        d1 = 1
+        while (3**d1 - 1) ** 2 <= n:
+            part = 3**d1 - 1
+            if n % part == 0:
+                rest = n // part
+                d2 = d1
+                while 3**d2 - 1 <= rest:
+                    if 3**d2 - 1 == rest:
+                        return True, "(3^d1-1)(3^d2-1)", (d1, d2)
+                    d2 += 1
+            d1 += 1
+        return False, None, None
+    for fam in erdos._FAMILIES[2]:
+        value = n
+        for d in fam.fixed:
+            if value % (2**d - 1):
+                break
+            value //= 2**d - 1
+        else:
+            params = scan_slots(fam.slots, value)
+            if params is not None:
+                return True, fam.tag, params
+    return False, None, None
+
+
+def reference_up_to(y, q):
+    out = set()
+    if q == 3:
+        d1 = 1
+        while (3**d1 - 1) ** 2 <= y:
+            d2 = d1
+            while (3**d1 - 1) * (3**d2 - 1) <= y:
+                out.add((3**d1 - 1) * (3**d2 - 1))
+                d2 += 1
+            d1 += 1
+        return sorted(out)
+
+    def fill(slots, value):
+        if not slots:
+            out.add(value)
+            return
+        (d_min, cond), rest = slots[0], slots[1:]
+        d = d_min
+        while value * (2**d - 1) <= y:
+            if cond is None or cond(d):
+                fill(rest, value * (2**d - 1))
+            d += 1
+
+    for fam in erdos._FAMILIES[2]:
+        prefix = 1
+        for d in fam.fixed:
+            prefix *= 2**d - 1
+        if prefix <= y:
+            fill(fam.slots, prefix)
+    return sorted(out)
+
+
+def seeded_family_products(q, count, seed=9):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = 1
+        for _ in range(rng.randrange(1, 5)):
+            n *= q ** rng.randrange(1, 40 if q == 2 else 25) - 1
+        out.append(n)
+    return out
+
+
+class TestAgainstScanningReference:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_member(self, q):
+        spec = FieldSpec(q)
+        for n in list(range(1, 20001)) + seeded_family_products(q, 1000):
+            verdict = intersection_member(n, spec)
+            got = verdict.member, verdict.family, verdict.params
+            assert got == reference_member(n, q), n
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("y", [1, 2, 3, 10**2, 10**6, 10**12, 10**20])
+    def test_up_to(self, q, y):
+        assert intersection_up_to(y, FieldSpec(q)) == reference_up_to(y, q)
+
+    def test_the_papers_families(self):
+        assert sorted(erdos._FAMILIES) == [2, 3]
+        assert [fam.tag for fam in erdos._FAMILIES[2]] == [
+            "(2^d1-1)",
+            "(2^2-1)(2^d1-1)",
+            "(2^2-1)(2^3-1)(2^d1-1)",
+            "(2^d1-1)(2^d2-1)",
+            "(2^2-1)(2^3-1)(2^d1-1)(2^d2-1)",
+            "(2^2-1)(2^d1-1)(2^d2-1)",
+            "(2^2-1)(2^d1-1)(2^d2-1)(2^d3-1)",
+        ]
+        assert erdos._FAMILIES[3] == (erdos._Family(
+            "(3^d1-1)(3^d2-1)", (), ((1, None), (1, None))),)
 
 
 class TestMembership:

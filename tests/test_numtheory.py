@@ -20,6 +20,31 @@ def naive_count(weights, budget):
     return rec(0, budget)
 
 
+def ilog_by_counting(m, b):
+    """The largest e with b**e <= m, counted up from e = 0."""
+    e, power = 0, b
+    while power <= m:
+        e, power = e + 1, power * b
+    return e
+
+
+class TestIlog:
+    @given(st.integers(2, 37), st.integers(0, 2000), st.integers(-1, 1))
+    @settings(max_examples=300)
+    def test_near_powers(self, b, k, offset):
+        m = b**k + offset
+        assert nt.ilog(m, b) == ilog_by_counting(m, b), (m, b)
+
+    @given(st.integers(2, 37), st.integers(0, 10**80))
+    def test_any_value(self, b, m):
+        assert nt.ilog(m, b) == ilog_by_counting(m, b), (m, b)
+
+    def test_zero_below_the_base(self):
+        for b in range(2, 38):
+            assert [nt.ilog(m, b) for m in range(-3, b)] == [0] * (b + 3)
+            assert nt.ilog(b, b) == 1
+
+
 class TestMobius:
     def test_examples(self):
         assert nt.mobius(1) == 1

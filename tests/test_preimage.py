@@ -1,5 +1,7 @@
 import random
 import time
+from bisect import bisect_right
+from collections import namedtuple
 from itertools import product
 from math import comb, gcd, log, prod
 
@@ -181,11 +183,19 @@ class TestForcedSearch:
                            if row.primitive == 1}
         assert exceptions == {(2, 6), (7, 2), (31, 2)}
 
-    @staticmethod
-    def table(spec, cofactor):
-        """Every row of the degree table up to cofactor, filled."""
-        values, rows = preimage._degrees(spec, cofactor)
-        filled = [preimage._row(spec, rows, i) for i in range(len(values))]
+    Row = namedtuple("Row", "d value primitive cap")
+
+    @classmethod
+    def table(cls, spec, cofactor):
+        """Every row of the degree table up to cofactor, filled by
+        ``represent`` at each q**d - 1: its walk visits row d first."""
+        values, rows = preimage._degrees(spec.q, cofactor)
+        values = values[:bisect_right(values, cofactor)]
+        for value in values:
+            represent(value, spec)
+        first = preimage._FIRST_DEGREE.get(spec.q, 1)
+        filled = [cls.Row(first + i, value, *rows[i])
+                  for i, value in enumerate(values)]
         assert [row.value for row in filled] == values
         return filled
 

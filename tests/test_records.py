@@ -46,7 +46,7 @@ RECORDS = [
      "params=(4, 7))"),
     (lambda: intersection_member(5, F2),
      "IntersectionVerdict(n=5, member=False, family=None, params=None)"),
-    (lambda: erdos._Q2_FAMILIES[0],
+    (lambda: erdos._FAMILIES[2][0],
      "_Family(tag='(2^d1-1)', fixed=(), slots=((2, None),))"),
     (lambda: verify.CheckResult("c", True),
      "CheckResult(name='c', ok=True, detail='')"),
