@@ -84,32 +84,40 @@ class FieldSpec:
         return next(enumerate_irreducibles(FieldSpec(self.p), self.s)).coeffs
 
     def _build_tables(self) -> None:
+        # Mul and inv through logarithms: the powers of a primitive element g
+        # take q - 2 direct products, then a * b = g**(log a + log b).
         q, p, s = self.q, self.p, self.s
         mod = list(self.modulus)
         self._neg_table = [
             _digits_code([(-d) % p for d in _code_digits(a, p, s)], p)
             for a in range(q)
         ]
-        self._add_table = [
-            [
-                _digits_code(
-                    [(x + y) % p for x, y in
-                     zip(_code_digits(a, p, s), _code_digits(b, p, s))],
-                    p,
-                )
-                for b in range(q)
-            ]
-            for a in range(q)
+        # digit-wise sums mod p; each pass adds a lowest digit i, k:
+        # (a p + i) + (b p + k) = (a + b) p + (i + k) % p
+        add: list[list[int]] = [[0]]
+        lows = [[(lo + b) % p for b in range(p)] for lo in range(p)]
+        for _ in range(s):
+            add = [[h * p + low for h in row for low in lows[lo]]
+                   for row in add for lo in range(p)]
+        self._add_table = add
+        order = q - 1
+        # g is primitive when g**(order / r) != 1 for every prime r | order;
+        # with no table yet, elem_pow multiplies by _ext_mul_direct
+        g = next(a for a in range(2, q)
+                 if all(self.elem_pow(a, order // r) != 1
+                        for r in factor_int(order)))
+        exp = [1] * (2 * order)  # g**k for k < 2 * order: no index reduction
+        for k in range(1, order):
+            exp[k] = self._ext_mul_direct(exp[k - 1], g, mod)
+        exp[order:] = exp[:order]
+        log = [0] * q
+        for k in range(order):
+            log[exp[k]] = k
+        nonzero = log[1:]
+        self._mul_table = [[0] * q] + [
+            [0] + [exp[log[a] + lb] for lb in nonzero] for a in range(1, q)
         ]
-        self._mul_table = [
-            [self._ext_mul_direct(a, b, mod) for b in range(q)]
-            for a in range(q)
-        ]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul_table[a]
-            inv[a] = row.index(1)
-        self._inv_table = inv
+        self._inv_table = [0] + [exp[order - log[a]] for a in range(1, q)]
 
     def _ext_mul_direct(self, a: int, b: int, mod: list[int]) -> int:
         p, s = self.p, self.s

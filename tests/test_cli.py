@@ -267,6 +267,14 @@ class TestEnumerationLimit:
         proc = self.run_cli(*command, "--p", "2", "--n", str(2**1000 - 1))
         assert proc.returncode == 2 and "limit" in proc.stderr
 
+    @pytest.mark.parametrize("y", [10**22, 10**4000],
+                             ids=["in-the-walk", "before-the-walk"])
+    def test_density_beyond_the_node_limit(self, y):
+        # 10**22: the walk passes NODE_LIMIT after about 1.5 s; 10**4000 is
+        # refused before it (the walk once held 10**6 13,000-bit values)
+        proc = self.run_cli("density", "--p", "2", "--y", str(y))
+        assert proc.returncode == 2 and "NODE_LIMIT" in proc.stderr
+
     def test_pi_beyond_the_digit_limit(self):
         # 2**(10**12) alone would take about 125 GB
         proc = self.run_cli("pi", "--p", "2", "--d", str(10**12))

@@ -1,5 +1,10 @@
-import pytest
+from bisect import bisect_right
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fqphi.density
 from fqphi import (
     FieldSpec,
     degree_bound,
@@ -9,6 +14,52 @@ from fqphi import (
     phi_table,
     phi_values_up_to,
 )
+from fqphi.numtheory import ilog
+from fqphi.preimage import reachable_sums
+
+REFERENCE_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5),
+                    FieldSpec(7), FieldSpec(2, 3), FieldSpec(3, 2),
+                    FieldSpec(2, 4)]
+
+
+def reference_values(y, spec):
+    """The value set by one recursion per degree and one set insertion per
+    value: the walk ``phi_values_up_to`` used before it was keyed by the
+    part of each value prime to q."""
+    q = spec.q
+    values = set()
+
+    def emit(prod_, support):
+        if not support:
+            return
+        if 1 in support:
+            value = prod_
+            while value <= y:
+                values.add(value)
+                value *= q
+            return
+        j_max = ilog(y // prod_, q)
+        for j, reachable in enumerate(reachable_sums(support, j_max)):
+            if reachable:
+                values.add(prod_ * q**j)
+
+    def rec(d, prod_, support):
+        if d == 0:
+            emit(prod_, support)
+            return
+        b = q**d - 1
+        rec(d - 1, prod_, support)
+        current = prod_
+        m = 0
+        while m < spec.pi(d):
+            current *= b
+            if current > y:
+                break
+            m += 1
+            rec(d - 1, current, support + (d,))
+
+    rec(ilog(y + 1, q), 1, ())
+    return sorted(values)
 
 
 def oracle_values(spec, y):
@@ -42,6 +93,49 @@ class TestPhiValuesUpTo:
         large = set(phi_values_up_to(400, F3))
         assert small <= large
         assert small == {v for v in large if v <= 100}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("spec", REFERENCE_FIELDS, ids=repr)
+    def test_small_y(self, spec):
+        for y in range(1, 301):
+            assert phi_values_up_to(y, spec) == reference_values(y, spec), y
+
+    @pytest.mark.parametrize("spec", REFERENCE_FIELDS, ids=repr)
+    def test_around_powers_of_q(self, spec):
+        for k in range(1, ilog(10**9, spec.q) + 1):
+            for y in (spec.q**k - 1, spec.q**k, spec.q**k + 1):
+                assert phi_values_up_to(y, spec) == reference_values(y, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(REFERENCE_FIELDS), st.integers(1, 10**9))
+    def test_any_y(self, spec, y):
+        assert phi_values_up_to(y, spec) == reference_values(y, spec)
+
+
+class TestNodeLimit:
+    def test_one_node_per_coprime_part_at_q2(self, F2, monkeypatch):
+        # x and x + 1 stay out of the walk, so the nodes are the distinct
+        # odd parts R of the values, R = 1 included
+        values = phi_values_up_to(10**9, F2)
+        parts = len({v >> (v & -v).bit_length() - 1 for v in values})
+        monkeypatch.setattr(fqphi.density, "NODE_LIMIT", parts)
+        assert phi_values_up_to(10**9, F2) == values
+        monkeypatch.setattr(fqphi.density, "NODE_LIMIT", parts - 1)
+        with pytest.raises(ValueError, match="NODE_LIMIT"):
+            phi_values_up_to(10**9, F2)
+
+    def test_walk_stops_at_the_limit(self, F3, monkeypatch):
+        monkeypatch.setattr(fqphi.density, "NODE_LIMIT", 1000)
+        with pytest.raises(ValueError, match="limit is NODE_LIMIT"):
+            density_sweep(F3, 10**12)
+
+    @pytest.mark.parametrize("q", [2, 13])
+    def test_large_y_refused_before_the_walk(self, q):
+        # every set of 20 distinct degrees from the lowest fits under
+        # log_q y, so the walk would pass 2**20 - 1 nodes
+        with pytest.raises(ValueError, match="NODE_LIMIT"):
+            phi_values_up_to(q**250, FieldSpec(q))
 
 
 class TestDensityReport:
@@ -80,6 +174,15 @@ class TestDensitySweep:
         reports = density_sweep(F2, 2**16)
         ratios = [r.ratio for r in reports if r.y == 2**r.k]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3),
+                                      FieldSpec(2, 2), FieldSpec(5),
+                                      FieldSpec(7), FieldSpec(3, 2)], ids=repr)
+    def test_counts_are_bisections_of_the_values(self, spec):
+        # count-sweep's six fields at its y = 10**12, inside NODE_LIMIT
+        values = phi_values_up_to(10**12, spec)
+        for report in density_sweep(spec, 10**12):
+            assert report.count == bisect_right(values, report.y)
 
     @pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3),
                                       FieldSpec(2, 2), FieldSpec(5)])

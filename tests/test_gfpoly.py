@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -92,6 +93,45 @@ class TestFieldSpec:
         for a in spec.elements():
             for b in spec.elements():
                 assert spec.mul(a, b) == spec._ext_mul_direct(a, b, mod)
+
+
+def digit_add(a, b, p):
+    """Sum of two element codes, base-p digit by digit."""
+    total, place = 0, 1
+    while a or b:
+        total += (a % p + b % p) % p * place
+        a, b, place = a // p, b // p, place * p
+    return total
+
+
+class TestTables:
+    """The add, mul and inv tables against per-digit arithmetic; the mul
+    table is built from logarithms, the reference multiplies digits."""
+
+    @pytest.mark.parametrize("p,s", [
+        (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+        (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
+    def test_every_entry(self, p, s):
+        spec = FieldSpec(p, s)
+        mod = list(spec.modulus)
+        for a in spec.elements():
+            for b in spec.elements():
+                assert spec._mul_table[a][b] == spec._ext_mul_direct(a, b, mod)
+                assert spec._add_table[a][b] == digit_add(a, b, p)
+            if a:
+                assert spec._ext_mul_direct(a, spec._inv_table[a], mod) == 1
+
+    @pytest.mark.parametrize("p,s", [(13, 2), (3, 5), (2, 8)])
+    def test_seeded_sample(self, p, s):
+        spec = FieldSpec(p, s)
+        mod = list(spec.modulus)
+        rng = random.Random(p * 1000 + s)
+        for _ in range(5000):
+            a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+            assert spec._mul_table[a][b] == spec._ext_mul_direct(a, b, mod)
+            assert spec._add_table[a][b] == digit_add(a, b, p)
+        for a in range(1, spec.q):
+            assert spec._ext_mul_direct(a, spec._inv_table[a], mod) == 1
 
 
 class TestPolyBasics:
