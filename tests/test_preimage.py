@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fqphi import (
     CounterexampleError,
+    CountProfile,
     FieldSpec,
     count_profile,
     degree_bound,
@@ -434,6 +435,14 @@ class TestCountProfile:
         # n = (q - 1)^q with all linear slots filled has exactly one preimage
         profile = count_profile(4**5, F5)
         assert (profile.count, profile.label) == (1, "unique")
+
+    def test_q3_unique_value(self, F3):
+        # 4096 = (3 - 1)**3 (3**2 - 1)**3: every monic irreducible of degree
+        # 1 and 2 once, m_1 = m_2 = 3.  It is the only n <= 2*10**5 with one
+        # preimage over F_3, and the only check of the q = 3 uniqueness rule.
+        assert count_profile(4096, F3) == CountProfile(4096, 1, "unique")
+        assert [str(f) for f in preimage_list(4096, F3)] == ["x^9+2*x"]
+        assert preimage_count(4096, F3) == 1
 
     def test_at_least_binom(self, F5):
         n, expected = sierpinski_witness(F5, "binomial", 1)
