@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from bisect import bisect_right
@@ -458,6 +459,18 @@ class TestCountProfile:
         for n in range(1, 10001):
             labels.add(count_profile(n, spec).label)
         assert "unique" in labels and "empty" in labels
+
+
+def test_f3_counts_are_pinned(F3):
+    # preimage_count and count_profile over F_3 on n = 1..30,000, as one
+    # sha256 of "n:count:label" lines; the digest was taken when the d = 1
+    # and d = 2 parts still had their own power-of-two form
+    stream = hashlib.sha256()
+    for n in range(1, 30001):
+        line = f"{n}:{preimage_count(n, F3)}:{count_profile(n, F3).label}\n"
+        stream.update(line.encode())
+    assert stream.hexdigest() == (
+        "f79755b3d49b8db4bb7f881d9ac14bad74820fc965384be2f0d4080dc0799148")
 
 
 class TestSierpinskiWitness:
