@@ -23,6 +23,7 @@ import re
 from itertools import product
 from typing import Iterator, NamedTuple
 
+from .errors import CounterexampleError
 from .numtheory import factor_int, is_prime
 
 # Element add/mul lookup tables are built for extension fields up to this
@@ -643,6 +644,13 @@ def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+#: Random splits ``_equal_degree`` tries per call.  With consistent field
+#: arithmetic each one succeeds with probability at least about 1/2 (von zur
+#: Gathen & Gerhard, Modern Computer Algebra, ch. 14), and the generator is
+#: seeded from the input, so only broken arithmetic reaches the cap.
+SPLIT_ATTEMPTS = 64
+
+
 def _equal_degree(g: Poly, d: int) -> list[Poly]:
     # g monic squarefree with all irreducible factors of degree d.
     if g.degree == d:
@@ -650,7 +658,7 @@ def _equal_degree(g: Poly, d: int) -> list[Poly]:
     fld = g.field
     rand = _lcg(_coeff_hash(g.coeffs) ^ (fld.q * 0x51ED2701) ^ g.degree)
     one = fld.one()
-    while True:
+    for _ in range(SPLIT_ATTEMPTS):
         coeffs = [rand(fld.q) for _ in range(g.degree)]
         a = _mk(fld, _strip(coeffs))
         if a.degree < 1:
@@ -670,6 +678,9 @@ def _equal_degree(g: Poly, d: int) -> list[Poly]:
             cand = gcd(g, acc)
         if 0 < cand.degree < g.degree:
             return _equal_degree(cand, d) + _equal_degree(g // cand, d)
+    raise CounterexampleError(
+        f"no split of {g} into degree-{d} factors in {SPLIT_ATTEMPTS} "
+        f"attempts over F_{fld.q}")
 
 
 def factor(f: Poly) -> Factorization:

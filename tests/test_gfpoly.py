@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqphi import (
+    CounterexampleError,
     FieldSpec,
     Poly,
     enumerate_irreducibles,
@@ -18,6 +20,7 @@ from fqphi import (
     poly_to_text,
     powmod,
 )
+from fqphi import gfpoly
 from fqphi.gfpoly import kron_mul, kron_width
 from fqphi.numtheory import mobius
 
@@ -331,6 +334,21 @@ class TestFactor:
     def test_deterministic(self, F5):
         f = F5.parse("x^6+x^4+2*x^2+3")
         assert factor(f) == factor(f)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_split_gives_up_when_nothing_splits(self, q, monkeypatch):
+        # a gcd that never splits stands in for inconsistent arithmetic:
+        # _equal_degree must raise after its attempts instead of looping
+        spec = FIELDS[q]
+        f, g = list(enumerate_irreducibles(spec, 3))[:2]
+        calls = []
+        monkeypatch.setattr(gfpoly, "gcd",
+                            lambda a, b: calls.append(1) or a.field.one())
+        start = time.perf_counter()
+        with pytest.raises(CounterexampleError, match="64 attempts"):
+            gfpoly._equal_degree(f * g, 3)
+        assert time.perf_counter() - start < 5.0
+        assert 0 < len(calls) <= 2 * gfpoly.SPLIT_ATTEMPTS
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_roundtrip_exhaustive(self, q):
