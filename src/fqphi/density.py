@@ -80,7 +80,7 @@ def _runs(y: int, spec: FieldSpec) -> tuple[list[int], list[list[int]]]:
         k += 1
     if 2**k - 1 > NODE_LIMIT:
         raise _over_limit(y, q)
-    # (R, mask) per node, merged by sorting.  A dict keyed by R degrades once
+    # (R, mask) per node, combined by sorting.  A dict keyed by R degrades once
     # R passes 2**61: int hashes are taken mod 2**61 - 1, where 2**d - 1 and
     # 2**(d mod 61) - 1 agree.  At q = 2 the root R = 1 is a node admitting
     # every j (-1: every bit set).

@@ -14,10 +14,7 @@ polynomial multiplication.
 
 Canonical forms per field size:
 
-* q >= 4: (j, {m_d}) with every degree present.
-* q = 3:  the d = 1, 2 parts merge into a power of two, n =
-          2**i * 3**j * prod_{d>=3} (3**d - 1)**m_d with i = m_1 + 3*m_2;
-          counting sums over the (m_1, m_2) splittings of i.
+* q >= 3: (j, {m_d}) with every degree present.
 * q = 2:  2 - 1 = 1 makes m_1 invisible in the value, so the canonical form
           keeps only d >= 2 and counting sums m_1 over 0..2.
 
@@ -47,20 +44,15 @@ from .numtheory import GUARD, factor_int
 
 
 class Representation(NamedTuple):
-    """One factored witness that n lies in the totient value set.
-
-    ``counts`` holds the canonical degrees only (see module docstring);
-    ``merged`` is the q = 3 exponent i = m_1 + 3*m_2 and None elsewhere.
-    """
+    """One factored witness n = q**j * prod (q**d - 1)**m_d that n lies in
+    the totient value set; ``counts`` holds the canonical degrees only (see
+    module docstring)."""
 
     j: int
     counts: dict[int, int]
-    merged: int | None = None
 
     def evaluate(self, spec: FieldSpec) -> int:
         value = spec.q**self.j
-        if self.merged is not None:
-            value *= 2**self.merged
         for d, m in self.counts.items():
             value *= (spec.q**d - 1) ** m
         return value
@@ -114,7 +106,7 @@ def _primitive_part(q: int, d: int) -> int:
 
 
 # The least canonical degree per q (see the module docstring), 1 elsewhere.
-_FIRST_DEGREE = {2: 2, 3: 3}
+_FIRST_DEGREE = {2: 2}
 
 # Per q: q**d - 1 for the canonical degrees d, lowest first, grown to the
 # largest cofactor seen, and beside them the rows (u_d, pi_q(d)), None until
@@ -144,18 +136,18 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
 
     The search walks the canonical degrees from the largest down, dividing
     q**d - 1 out of the remainder m_d times.  Let u_d be the primitive part
-    of q**d - 1: its primes divide no q**e - 1 with e < d, and none is 2
-    when q = 3 (2 divides 3 - 1).  So for a prime l | u_d, the exponent of l
-    in the remainder at degree d is m_d times its exponent in q**d - 1: no
-    smaller degree can absorb it.  When u_d > 1 only one m_d can work, the
-    number of divisions made while u_d divides the remainder; the path dies
-    if one of them is uneven or m_d passes pi_q(d).  Every other choice the
-    branching search would try leaves a prime of u_d behind and reaches no
-    canonical form, so the forms found are the same.  The search branches
-    on m_d only where u_d = 1: by Zsigmondy's theorem d = 6 for q = 2, and
-    d = 2 when q + 1 is a power of two (q = 7, 31, 127, ...).  It follows
-    one path per value, splitting at most at that one degree, and runs as a
-    loop, so its depth does not grow with n.
+    of q**d - 1: its primes divide no q**e - 1 with e < d.  So for a prime
+    l | u_d, the exponent of l in the remainder at degree d is m_d times
+    its exponent in q**d - 1: no smaller degree can absorb it.  When
+    u_d > 1 only one m_d can work, the number of divisions made while u_d
+    divides the remainder; the path dies if one of them is uneven or m_d
+    passes pi_q(d).  Every other choice the branching search would try
+    leaves a prime of u_d behind and reaches no canonical form, so the
+    forms found are the same.  The search branches on m_d only where
+    u_d = 1: by Zsigmondy's theorem d = 6 for q = 2, and d = 2 when q + 1
+    is a power of two (q = 3, 7, 31, 127, ...).  It follows one path per
+    value, splitting at most at that one degree, and runs as a loop, so
+    its depth does not grow with n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -178,18 +170,6 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         if q == 2:
             if rem == 1:
                 found.append(Representation(j, counts))
-            return
-        if q == 3:
-            if rem & (rem - 1):
-                return  # remainder must be a power of two
-            i = rem.bit_length() - 1
-            if i > spec.pi(1) + 3 * spec.pi(2):
-                return
-            if i == 0 and not counts:
-                return  # no irreducible factor at all
-            if j and i == 0 and not reachable_sums(counts, j)[j]:
-                return
-            found.append(Representation(j, counts, merged=i))
             return
         if rem != 1 or not counts:
             return
@@ -261,14 +241,6 @@ def _count_for(rep: Representation, spec: FieldSpec) -> int:
             _marginal_count({1: m1, **rep.counts}, rep.j, spec)
             for m1 in range(spec.pi(1) + 1)
         )
-    if q == 3:
-        total = 0
-        for m2 in range(spec.pi(2) + 1):
-            m1 = rep.merged - 3 * m2
-            if 0 <= m1 <= spec.pi(1):
-                total += _marginal_count(
-                    {1: m1, 2: m2, **rep.counts}, rep.j, spec)
-        return total
     return _marginal_count(rep.counts, rep.j, spec)
 
 
@@ -514,23 +486,15 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
 def _uniqueness_condition(reps: list[Representation],
                           spec: FieldSpec) -> bool:
     # The explicit shape a value must have for its preimage to be unique:
-    # no q-power part and every present degree saturated at pi_q(d); for
-    # q = 3 additionally m_1 = m_2, i.e. merged exponent 0 or 12, with some
-    # factor of degree >= 2.
+    # no q-power part, some factor, and every present degree saturated at
+    # pi_q(d); for q = 3 additionally m_1 = m_2.
     if spec.q == 2:
         raise ValueError("no uniqueness classification at q = 2")
-    for rep in reps:
-        if rep.j != 0:
-            continue
-        if any(m != spec.pi(d) for d, m in rep.counts.items()):
-            continue
-        if spec.q == 3:
-            if rep.merged == 12 or (rep.merged == 0 and rep.counts):
-                return True
-            continue
-        if rep.counts:
-            return True
-    return False
+    return any(
+        rep.j == 0 and rep.counts
+        and all(m == spec.pi(d) for d, m in rep.counts.items())
+        and (spec.q != 3 or rep.counts.get(1, 0) == rep.counts.get(2, 0))
+        for rep in reps)
 
 
 def count_profile(n: int, spec: FieldSpec) -> CountProfile:

@@ -44,10 +44,13 @@ class TestRepresent:
         assert (reps[0].j, reps[0].counts) == (0, {2: 1})
         assert represent(5, F2) == []
 
-    def test_q3_merged_form(self, F3):
+    def test_q3_degree_two_branches(self, F3):
+        # 8 = (3 - 1)**3 = 3**2 - 1: d = 2 has no primitive prime
         reps = represent(8, F3)
-        assert len(reps) == 1
-        assert (reps[0].j, reps[0].merged, reps[0].counts) == (0, 3, {})
+        assert [(rep.j, rep.counts) for rep in reps] == [(0, {1: 3}),
+                                                          (0, {2: 1})]
+        table = phi_table(F3, degree_bound(8, F3))
+        assert preimage_count(8, F3) == len(table[8])
 
     def test_evaluation_roundtrip(self, F2, F3, F5):
         for spec in (F2, F3, F5):
@@ -87,7 +90,7 @@ def reference_represent(n, spec):
         return []
     j = v // s
     cofactor = n // q**j
-    d = {2: 2, 3: 3}.get(q, 1)
+    d = {2: 2}.get(q, 1)
     basis = []
     while q**d - 1 <= cofactor:
         basis.append((d, q**d - 1))
@@ -100,16 +103,6 @@ def reference_represent(n, spec):
         if q == 2:
             if rem == 1:
                 found.append(preimage.Representation(j, counts))
-            return
-        if q == 3:
-            if rem & (rem - 1):
-                return
-            i = rem.bit_length() - 1
-            if i > spec.pi(1) + 3 * spec.pi(2) or (i == 0 and not counts):
-                return
-            if j and i == 0 and not preimage.reachable_sums(counts, j)[j]:
-                return
-            found.append(preimage.Representation(j, counts, merged=i))
             return
         if rem != 1 or not counts:
             return
@@ -176,14 +169,14 @@ class TestForcedSearch:
 
     def test_every_exception_degree_is_covered(self):
         # u_d = 1 at a canonical degree: d = 6 for q = 2, and d = 2 for
-        # q = 7 and q = 31 (q + 1 a power of two); q = 3's d = 2 is merged
+        # q = 3, 7 and 31 (q + 1 a power of two)
         exceptions = set()
         for field in self.FIELDS:
             spec = FieldSpec(*field)
             exceptions |= {(spec.q, row.d)
                            for row in self.table(spec, spec.q**8)
                            if row.primitive == 1}
-        assert exceptions == {(2, 6), (7, 2), (31, 2)}
+        assert exceptions == {(2, 6), (3, 2), (7, 2), (31, 2)}
 
     Row = namedtuple("Row", "d value primitive cap")
 
@@ -279,8 +272,8 @@ class TestPreimageCount:
         for n in range(1, 61):
             assert preimage_count(n, F2) == len(table.get(n, ())), n
 
-    def test_q3_merged_count(self, F3):
-        # 16 = 2^4 -> i = 4, the splittings (1, 1) give 3 * 3 preimages
+    def test_q3_split_count(self, F3):
+        # 16 = (3 - 1)(3**2 - 1), m_1 = m_2 = 1: 3 * 3 preimages
         assert preimage_count(16, F3) == 9
 
 

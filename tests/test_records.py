@@ -29,7 +29,7 @@ RECORDS = [
      "Factorization(field=FieldSpec(p=2), unit=1, parts=((Poly('x', q=2), 1), "
      "(Poly('x+1', q=2), 2)))"),
     (lambda: represent(24, F3)[0],
-     "Representation(j=1, counts={}, merged=3)"),
+     "Representation(j=1, counts={1: 3})"),
     (lambda: count_profile(4, F5),
      "CountProfile(n=4, count=5, label='exactly-q')"),
     (lambda: signature(parse_poly(F2, "x^3+x^2")),
