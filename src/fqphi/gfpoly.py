@@ -646,8 +646,9 @@ def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
 
 #: Random splits ``_equal_degree`` tries per call.  With consistent field
 #: arithmetic each one succeeds with probability at least about 1/2 (von zur
-#: Gathen & Gerhard, Modern Computer Algebra, ch. 14), and the generator is
-#: seeded from the input, so only broken arithmetic reaches the cap.
+#: Gathen & Gerhard, Modern Computer Algebra, ch. 14), so a call reaches the
+#: cap with probability at most about 2**-64.  The generator is seeded from
+#: the input, so a given input reaches it always or never.
 SPLIT_ATTEMPTS = 64
 
 

@@ -235,8 +235,7 @@ def _marginal_count(full_counts: dict[int, int], j: int, spec: FieldSpec) -> int
 
 
 def _count_for(rep: Representation, spec: FieldSpec) -> int:
-    q = spec.q
-    if q == 2:
+    if spec.q == 2:
         return sum(
             _marginal_count({1: m1, **rep.counts}, rep.j, spec)
             for m1 in range(spec.pi(1) + 1)

@@ -433,7 +433,8 @@ class TestCountProfile:
     def test_q3_unique_value(self, F3):
         # 4096 = (3 - 1)**3 (3**2 - 1)**3: every monic irreducible of degree
         # 1 and 2 once, m_1 = m_2 = 3.  It is the only n <= 2*10**5 with one
-        # preimage over F_3, and the only check of the q = 3 uniqueness rule.
+        # preimage over F_3, so the one value that reaches the q = 3
+        # uniqueness rule.
         assert count_profile(4096, F3) == CountProfile(4096, 1, "unique")
         assert [str(f) for f in preimage_list(4096, F3)] == ["x^9+2*x"]
         assert preimage_count(4096, F3) == 1
@@ -456,8 +457,9 @@ class TestCountProfile:
 
 def test_f3_counts_are_pinned(F3):
     # preimage_count and count_profile over F_3 on n = 1..30,000, as one
-    # sha256 of "n:count:label" lines; the digest was taken when the d = 1
-    # and d = 2 parts still had their own power-of-two form
+    # sha256 of "n:count:label" lines.  The digest comes from an earlier
+    # implementation that folded m_1 and m_2 into one power of two, so it
+    # checks the (j, {m_d}) form against independent code.
     stream = hashlib.sha256()
     for n in range(1, 30001):
         line = f"{n}:{preimage_count(n, F3)}:{count_profile(n, F3).label}\n"
