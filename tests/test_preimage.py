@@ -468,6 +468,31 @@ def test_f3_counts_are_pinned(F3):
         "f79755b3d49b8db4bb7f881d9ac14bad74820fc965384be2f0d4080dc0799148")
 
 
+@pytest.mark.parametrize("field,digest", [
+    ((2, 1),
+     "1bfdce64e1a1c3209ba222d6b19b71106e1ead0574a3c00a6e363da1421271ba"),
+    ((2, 2),
+     "d0bff5ac151be0670c222dccf29ab9b1eda54f99907b4ffbbf9cf1b9a106fbad"),
+    ((5, 1),
+     "5264b3b00eb6d53eb4d5d12fb3ab864a103d232a759963a49f7dcd302b2856a9"),
+    ((7, 1),
+     "254d18f9193ea1d57d6b01c607f8b257180db23abe7b34cdec65f02fc0eeeecf"),
+    ((3, 2),
+     "8c3b830ad9954dbd3833e93c400a322280892b877d3f1b1adc65638e64da9e4a"),
+], ids=["F2", "F4", "F5", "F7", "F9"])
+def test_verify_field_counts_are_pinned(field, digest):
+    # preimage_count and count_profile on n = 1..10,000 over each of the
+    # other fields the verify grids use, as one sha256 of "n:count:label"
+    # lines, taken from the walk that branched through two closures per
+    # call, before the early rejections in ``represent``.
+    spec = FieldSpec(*field)
+    stream = hashlib.sha256()
+    for n in range(1, 10001):
+        line = f"{n}:{preimage_count(n, spec)}:{count_profile(n, spec).label}\n"
+        stream.update(line.encode())
+    assert stream.hexdigest() == digest
+
+
 class TestSierpinskiWitness:
     def test_examples(self, F2, F3):
         assert sierpinski_witness(F2, "exact", 5) == (4, 5)
