@@ -16,13 +16,13 @@ matched with d1 > d2, then (d2, d1) would have matched first.
 
 from __future__ import annotations
 
-from math import prod
+from math import comb, prod
 from typing import Callable, NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly
 from .numtheory import ilog
-from .preimage import preimage_list, sieve
+from .preimage import preimage_list, represent, sieve
 
 
 class IntersectionVerdict(NamedTuple):
@@ -32,6 +32,16 @@ class IntersectionVerdict(NamedTuple):
     member: bool
     family: str | None = None
     params: tuple[int, ...] | None = None
+
+
+#: Most slot tuples ``intersection_up_to`` may walk, by the bound of
+#: ``_slot_tuples``.  The largest y accepted is 2**111 - 1 over F_2 and
+#: 3**631 - 1 over F_3.  On a 2-core x86-64 host ``fqphi erdos scan`` takes
+#: 0.3 s and 28 MB there over F_2 (35,106 members), and 0.8 s and
+#: 100 MB over F_3 (99,540 members of up to 302 digits); a refusal takes
+#: no longer than the start-up.  Over F_2 the member count grows like
+#: (log y)**3.
+SCAN_LIMIT = 2 * 10**5
 
 
 def _div23(d: int) -> bool:
@@ -83,11 +93,22 @@ def _match_slots(q: int, slots, value: int) -> tuple[int, ...] | None:
 
 
 def intersection_member(n: int, spec: FieldSpec) -> IntersectionVerdict:
-    """Decide whether n is both a totient value and a sigma value."""
+    """Decide whether n is both a totient value and a sigma value.
+
+    For q >= 4 the answer is no at once: the two sets never meet.  For
+    q = 2, 3 two rules answer no before the slot walk:
+
+    * q | n: every family member is a product of numbers q**d - 1, and
+      each is -1 mod q;
+    * ``represent`` finds no form for n: a member is a totient value.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q = spec.q
-    for fam in _FAMILIES.get(q, ()):  # none for q >= 4: the sets never meet
+    families = _FAMILIES.get(q, ())
+    if not families or n % q == 0 or not represent(n, spec):
+        return IntersectionVerdict(n, False)
+    for fam in families:
         fixed = _family_value(q, fam.fixed)
         if n % fixed:
             continue
@@ -101,11 +122,36 @@ def intersection_member(n: int, spec: FieldSpec) -> IntersectionVerdict:
     return IntersectionVerdict(n, False)
 
 
+def _slot_tuples(y: int, q: int) -> int:
+    """A bound on the slot degrees whose product stays <= y, over all of
+    q's families.  q**d - 1 >= q**(d - 1), so the s degrees of a family sum
+    to at most ilog(y, q) + s; with each degree at least its slot's least
+    degree, stars and bars counts the tuples."""
+    k = ilog(y, q)
+    total = 0
+    for fam in _FAMILIES.get(q, ()):
+        s = len(fam.slots)
+        room = k + s - sum(d_min for d_min, _ in fam.slots)
+        if room >= 0:
+            total += comb(room + s, s)
+    return total
+
+
 def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
-    """All intersection members <= y, deduplicated and sorted."""
+    """All intersection members <= y, deduplicated and sorted.
+
+    Raises ValueError, before the walk, when ``_slot_tuples`` passes
+    ``SCAN_LIMIT``.
+    """
     if y < 1:
         raise ValueError(f"need y >= 1, got {y}")
     q = spec.q
+    tuples = _slot_tuples(y, q)
+    if tuples > SCAN_LIMIT:
+        raise ValueError(
+            f"scanning the intersection up to y >= {q}**{ilog(y, q)} over "
+            f"F_{q} may walk {tuples} slot tuples; the limit is SCAN_LIMIT = "
+            f"{SCAN_LIMIT}")
     out = set()
 
     def fill(slots, value: int) -> None:

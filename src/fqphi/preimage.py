@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, log, prod
 from typing import Iterator, NamedTuple
 
@@ -120,6 +121,8 @@ _DEGREES: dict[int, tuple[list[int], list[tuple[int, int] | None]]] = {}
 def _degrees(q: int,
              cofactor: int) -> tuple[list[int], list[tuple[int, int] | None]]:
     values, rows = _DEGREES.get(q, ((), ()))
+    if values and cofactor < values[-1]:
+        return values, rows  # the table already reaches past the cofactor
     d = _FIRST_DEGREE.get(q, 1) + len(values)
     if q**d - 1 <= cofactor:
         values, rows = list(values), list(rows)
@@ -146,8 +149,18 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
     forms found are the same.  The search branches on m_d only where
     u_d = 1: by Zsigmondy's theorem d = 6 for q = 2, and d = 2 when q + 1
     is a power of two (q = 3, 7, 31, 127, ...).  It follows one path per
-    value, splitting at most at that one degree, and runs as a loop, so
-    its depth does not grow with n.
+    value, splitting at most at that one degree, and runs as a loop with a
+    stack of the split-off paths, so its depth does not grow with n.  After
+    each division it jumps by bisection to the largest row that still fits
+    the remainder.
+
+    Two rules reject a value before the walk:
+
+    * the p-adic valuation of n must be a multiple of s, since q**j is the
+      only power of p in the form (each q**d - 1 is -1 mod p);
+    * for q >= 3, q - 1 must divide the cofactor n / q**j: each q**d - 1
+      is a multiple of q - 1, and a form for q >= 3 has at least one
+      factor.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -161,61 +174,59 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         return []  # the p-part cannot come from a power of q
     j = v // s
     cofactor = n // q**j
+    if cofactor % (q - 1):
+        return []  # every q**d - 1 is a multiple of q - 1 (void at q = 2)
     values, rows = _degrees(q, cofactor)
-    top = bisect_right(values, cofactor)
     first = _FIRST_DEGREE.get(q, 1)
     found: list[Representation] = []
-
-    def leaf(rem: int, counts: dict[int, int]) -> None:
-        if q == 2:
-            if rem == 1:
-                found.append(Representation(j, counts))
-            return
-        if rem != 1 or not counts:
-            return
-        if j and not reachable_sums(counts, j)[j]:
-            return
-        found.append(Representation(j, counts))
-
-    def walk(stop: int, rem: int, counts: dict[int, int]) -> None:
-        # rows[:stop] remain, largest first; counts holds the
-        # multiplicities chosen above them, in descending degree order.
-        for i in range(stop - 1, -1, -1):
+    # Each path: rows[:stop] remain, largest first, with the remainder and
+    # the multiplicities chosen above them, in descending degree order.
+    paths = [(len(values), cofactor, {})]
+    while paths:
+        stop, rem, counts = paths.pop()
+        i = bisect_right(values, rem, 0, stop)
+        while i:
+            i -= 1
+            row = rows[i]
+            if row is None:
+                d = first + i
+                row = rows[i] = _primitive_part(q, d), spec.pi(d)
+            primitive, cap = row
             value = values[i]
-            if value > rem:
-                continue
-            d = first + i
-            if rows[i] is None:
-                rows[i] = _primitive_part(q, d), spec.pi(d)
-            primitive, cap = rows[i]
             if primitive == 1:  # a Zsigmondy exception: branch on m_d
-                walk(i, rem, dict(counts))
-                m_d = 0
-                while m_d < cap and rem % value == 0:
-                    rem //= value
+                branch, m_d = rem, 0
+                while m_d < cap and branch % value == 0:
+                    branch //= value
                     m_d += 1
-                    walk(i, rem, {**counts, d: m_d})
-                return
+                    paths.append((i, branch, {**counts, first + i: m_d}))
+                continue  # this path goes on with m_d = 0
+            if rem % primitive:
+                continue
             m_d = 0
             while rem % primitive == 0:
                 rem, uneven = divmod(rem, value)
                 m_d += 1
                 if uneven or m_d > cap:
-                    return
-            if m_d:
-                counts[d] = m_d
-        leaf(rem, counts)
-
-    walk(top, cofactor, {})
+                    break
+            else:
+                counts[first + i] = m_d
+                i = bisect_right(values, rem, 0, i)
+                continue
+            break  # the path dies
+        else:
+            if rem == 1 and (q == 2 or counts and (
+                    not j or reachable_sums(counts, j)[j])):
+                found.append(Representation(j, counts))
     found.sort(key=lambda rep: sorted(rep.counts.items()))
     return found
 
 
-def _weighted_compositions(counts: dict[int, int], j: int) -> int:
-    # sum over {j_d >= 0 on the support, sum d*j_d = j} of
-    # prod C(j_d + m_d - 1, m_d - 1): exponent-distribution choices.  That
-    # is the coefficient of x**j in prod_d (1 - x**d)**-m_d; each factor
-    # 1 / (1 - x**d) is one prefix-sum pass over the coefficients.
+def _weighted_compositions(counts: dict[int, int], j: int) -> list[int]:
+    # Entry w: the sum over {j_d >= 0 on the support, sum d*j_d = w} of
+    # prod C(j_d + m_d - 1, m_d - 1), the exponent-distribution choices,
+    # for w = 0..j.  That is the coefficient of x**w in
+    # prod_d (1 - x**d)**-m_d; each factor 1 / (1 - x**d) is one prefix-sum
+    # pass over the coefficients.
     ways = [1] + [0] * j
     for d, m in counts.items():
         if d > j:
@@ -223,24 +234,21 @@ def _weighted_compositions(counts: dict[int, int], j: int) -> int:
         for _ in range(m):
             for w in range(d, j + 1):
                 ways[w] += ways[w - d]
-    return ways[j]
-
-
-def _marginal_count(full_counts: dict[int, int], j: int, spec: FieldSpec) -> int:
-    counts = {d: m for d, m in full_counts.items() if m}
-    if not counts:
-        return 0  # the constant polynomial, never a preimage
-    chooser = prod(comb(spec.pi(d), m) for d, m in counts.items())
-    return chooser * _weighted_compositions(counts, j)
+    return ways
 
 
 def _count_for(rep: Representation, spec: FieldSpec) -> int:
+    chooser = prod(comb(spec.pi(d), m) for d, m in rep.counts.items())
+    ways = _weighted_compositions(rep.counts, rep.j)
+    # No factor at all is the constant polynomial, never a preimage.
+    total = ways[-1] if rep.counts else 0
     if spec.q == 2:
-        return sum(
-            _marginal_count({1: m1, **rep.counts}, rep.j, spec)
-            for m1 in range(spec.pi(1) + 1)
-        )
-    return _marginal_count(rep.counts, rep.j, spec)
+        # m_1 = 1, 2 of the two linear irreducibles, which leave the value
+        # alone: each is one more degree-1 prefix-sum pass.
+        for m1 in (1, 2):
+            ways = list(accumulate(ways))
+            total += comb(2, m1) * ways[-1]
+    return chooser * total
 
 
 def preimage_count(n: int, spec: FieldSpec) -> int:

@@ -275,6 +275,14 @@ class TestEnumerationLimit:
         proc = self.run_cli("density", "--p", "2", "--y", str(y))
         assert proc.returncode == 2 and "NODE_LIMIT" in proc.stderr
 
+    @pytest.mark.parametrize("q,y", [(2, 10**100), (2, 10**4000),
+                                     (3, 10**4000)])
+    def test_erdos_scan_beyond_the_scan_limit(self, q, y):
+        # 10**100 over F_2 once ran past 30 s with no output; both are
+        # refused from the slot-tuple bound, before the walk
+        proc = self.run_cli("erdos", "scan", "--p", str(q), "--y", str(y))
+        assert proc.returncode == 2 and "SCAN_LIMIT" in proc.stderr
+
     def test_pi_beyond_the_digit_limit(self):
         # 2**(10**12) alone would take about 125 GB
         proc = self.run_cli("pi", "--p", "2", "--d", str(10**12))

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from fqphi import (
     phi,
     phi_table,
     degree_bound,
+    represent,
     sigma,
 )
 
@@ -147,6 +149,70 @@ class TestAgainstScanningReference:
         ]
         assert erdos._FAMILIES[3] == (erdos._Family(
             "(3^d1-1)(3^d2-1)", (), ((1, None), (1, None))),)
+
+
+def seeded_family_members(q, count, seed=11):
+    """Instances of q's families: random slot degrees that meet each slot's
+    least degree and condition."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        fam = rng.choice(erdos._FAMILIES[q])
+        degrees = list(fam.fixed)
+        for d_min, cond in fam.slots:
+            d = rng.randrange(d_min, 30)
+            while cond is not None and not cond(d):
+                d += 1
+            degrees.append(d)
+        out.append(prod(q**d - 1 for d in degrees))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_members_are_prime_to_q_totient_values(q):
+    # intersection_member answers no at once when q | n or when
+    # ``represent`` finds no form: every member must be prime to q and have
+    # a form with j = 0.  Checked here on the scanning reference's members
+    # and on family instances, without intersection_member.
+    spec = FieldSpec(q)
+    ns = (list(range(1, 20001)) + seeded_family_products(q, 1000)
+          + seeded_family_members(q, 1000))
+    members = [n for n in ns if reference_member(n, q)[0]]
+    assert len(members) > 1000
+    for n in members:
+        assert n % q and any(rep.j == 0 for rep in represent(n, spec)), n
+
+
+class TestScanLimit:
+    @staticmethod
+    def walked_tuples(y, q):
+        # the ordered slot tuples with a product <= y, by enumeration
+        def tuples(slots, value):
+            if not slots:
+                return 1
+            (d_min, cond), rest = slots[0], slots[1:]
+            total, d = 0, d_min
+            while value * (q**d - 1) <= y:
+                if cond is None or cond(d):
+                    total += tuples(rest, value * (q**d - 1))
+                d += 1
+            return total
+        return sum(tuples(fam.slots, 1) for fam in erdos._FAMILIES[q])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bound_covers_the_walk(self, q):
+        for y in [1, 2, 3, 10, 10**3, 10**6, 10**12, 10**20]:
+            assert erdos._slot_tuples(y, q) >= self.walked_tuples(y, q), y
+
+    def test_refused_at_the_limit(self, F2, F3):
+        # the largest accepted y per field, as the docs state
+        for spec, k in ((F2, 111), (F3, 631)):
+            assert erdos._slot_tuples(spec.q**k - 1, spec.q) <= erdos.SCAN_LIMIT
+            with pytest.raises(ValueError, match="SCAN_LIMIT"):
+                intersection_up_to(spec.q**k, spec)
+
+    def test_no_limit_for_large_q(self, F5):
+        assert intersection_up_to(10**4000, F5) == []
 
 
 class TestMembership:

@@ -167,6 +167,33 @@ class TestForcedSearch:
             count = sum(preimage._count_for(r, spec) for r in want)
             assert preimage_count(n, spec) == count, (spec.q, n)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_random_integers(self, field):
+        # almost all are non-values, as in a sweep over plain integers
+        spec = FieldSpec(*field)
+        rng = random.Random(17 * spec.q)
+        for _ in range(300):
+            n = rng.randrange(1 << 9, 1 << rng.randint(10, 120))
+            assert represent(n, spec) == reference_represent(n, spec), n
+
+    @pytest.mark.parametrize("field", [f for f in FIELDS if f != (2, 1)])
+    def test_cofactor_without_q_minus_1(self, field):
+        # q**j * c with q - 1 not dividing c: products of numbers q**d - 1
+        # with every prime of q - 1 removed, so each is next to a value
+        spec = FieldSpec(*field)
+        q = spec.q
+        rng = random.Random(19 * q)
+        primes = factor_int(q - 1)
+        for _ in range(300):
+            c = prod(q ** rng.randrange(1, 12) - 1
+                     for _ in range(rng.randrange(1, 5)))
+            for r in primes:
+                while c % r == 0:
+                    c //= r
+            n = q ** rng.randrange(4) * c
+            assert c % (q - 1)
+            assert represent(n, spec) == reference_represent(n, spec) == [], n
+
     def test_every_exception_degree_is_covered(self):
         # u_d = 1 at a canonical degree: d = 6 for q = 2, and d = 2 for
         # q = 3, 7 and 31 (q + 1 a power of two)
@@ -227,6 +254,38 @@ class TestForcedSearch:
         assert calls == [14000]
 
 
+def reference_count_for_q2(rep, spec):
+    """The F_2 count as three separate sums, one per m_1 = 0, 1, 2, each
+    with its own chooser and composition pass over {1: m_1, **counts}."""
+    total = 0
+    for m1 in range(spec.pi(1) + 1):
+        counts = {d: m for d, m in {1: m1, **rep.counts}.items() if m}
+        if not counts:
+            continue  # the constant polynomial
+        ways = [1] + [0] * rep.j
+        for d, m in counts.items():
+            for _ in range(m):
+                for w in range(d, rep.j + 1):
+                    ways[w] += ways[w - d]
+        total += prod(comb(spec.pi(d), m) for d, m in counts.items()) * ways[-1]
+    return total
+
+
+def test_q2_count_matches_three_sums(F2):
+    rng = random.Random(23)
+    ns = list(range(1, 3001)) + seeded_products(F2, 400, 2)
+    # large q-power parts, where the degree-1 passes do most of the work
+    ns += [2 ** rng.randrange(20, 200) * (2 ** rng.randrange(2, 40) - 1)
+           for _ in range(200)]
+    checked = 0
+    for n in ns:
+        for rep in represent(n, F2):
+            assert preimage._count_for(rep, F2) == reference_count_for_q2(
+                rep, F2), n
+            checked += 1
+    assert checked > 500
+
+
 class TestReachableSums:
     @given(st.lists(st.integers(1, 6), max_size=3), st.integers(0, 25))
     @settings(max_examples=150)
@@ -254,7 +313,7 @@ class TestWeightedCompositions:
             for js in product(*(range(j // d + 1) for d in degrees))
             if sum(d * j_d for d, j_d in zip(degrees, js)) == j
         )
-        assert preimage._weighted_compositions(counts, j) == want
+        assert preimage._weighted_compositions(counts, j)[j] == want
 
 
 class TestPreimageCount:
