@@ -207,7 +207,8 @@ class TestScanLimit:
     def test_refused_at_the_limit(self, F2, F3):
         # the largest accepted y per field, as the docs state
         for spec, k in ((F2, 111), (F3, 631)):
-            assert erdos._slot_tuples(spec.q**k - 1, spec.q) <= erdos.SCAN_LIMIT
+            tuples = erdos._slot_tuples(spec.q**k - 1, spec.q)
+            assert tuples <= erdos.SCAN_LIMIT
             with pytest.raises(ValueError, match="SCAN_LIMIT"):
                 intersection_up_to(spec.q**k, spec)
 

@@ -267,7 +267,8 @@ def reference_count_for_q2(rep, spec):
             for _ in range(m):
                 for w in range(d, rep.j + 1):
                     ways[w] += ways[w - d]
-        total += prod(comb(spec.pi(d), m) for d, m in counts.items()) * ways[-1]
+        chooser = prod(comb(spec.pi(d), m) for d, m in counts.items())
+        total += chooser * ways[-1]
     return total
 
 
