@@ -28,6 +28,7 @@ from fqphi import preimage
 from fqphi.numtheory import (
     GUARD,
     factor_int,
+    ilog,
     primitive_prime_divisors,
     zsigmondy_has_primitive,
 )
@@ -453,6 +454,31 @@ class TestDegreeBound:
             while True:
                 d += 1
                 log_l += log(spec.q) - spec.pi(d) / (spec.q**d - 1)
+                if log_l - log(n) > GUARD * max(1.0, log(n)):
+                    break
+                if phis[d] <= n:
+                    last_ok = d
+            assert degree_bound(n, spec) == last_ok, n
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (3, 2)])
+    def test_bound_matches_float_walk_to_10_60(self, field):
+        # reference: the walk of a lower bound on log L(D), stopped with a
+        # guard band, that once set the bound; min_phi from one knapsack.
+        # The grid holds both sides of every min_phi step below 10**60.
+        spec = FieldSpec(*field)
+        q, top = spec.q, 10**60
+        phis = preimage._min_phis(spec, ilog(top, q) + 40)
+        rng = random.Random(11 * q)
+        ns = set(range(1, 200)) | {10**k for k in range(61)}
+        ns |= {q**k + e for k in range(ilog(top, q) + 1) for e in (-1, 1)}
+        ns |= {rng.randrange(1, 10 ** rng.randint(1, 60)) for _ in range(100)}
+        ns |= {m + e for m in phis if m <= top for e in (-1, 0, 1)}
+        for n in sorted(n for n in ns if 1 <= n <= top):
+            log_l, last_ok, d = 0.0, 0, 0
+            while True:
+                d += 1
+                log_l += log(q) - spec.pi(d) / (q**d - 1)
                 if log_l - log(n) > GUARD * max(1.0, log(n)):
                     break
                 if phis[d] <= n:
