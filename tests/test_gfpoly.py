@@ -60,6 +60,16 @@ class TestFieldSpec:
     def test_f9_modulus(self):
         assert FieldSpec(3, 2).modulus_text() == "x^2+1"
 
+    @pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 5, 7, 11, 13)
+                                     for s in range(2, 12)
+                                     if p ** (s - 1) <= 2000])
+    def test_modulus_is_the_first_irreducible(self, p, s):
+        # every monic of degree s in enumeration order, constant term 0
+        # included, until the first one with no monic divisor
+        first = next(f for f in enumerate_monic(FieldSpec(p), s)
+                     if not reducible_by_trial_division(f))
+        assert FieldSpec(p, s).modulus == first.coeffs
+
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             FieldSpec(4)
@@ -383,6 +393,13 @@ class TestEnumeration:
         for d in range(1, max_d + 1):
             count = sum(1 for _ in enumerate_irreducibles(spec, d))
             assert count == spec.pi(d), (q, d)
+
+    @pytest.mark.parametrize("q,max_d", [(2, 9), (3, 6), (4, 5), (5, 4)])
+    def test_same_order_as_the_monics(self, q, max_d):
+        spec = FIELDS[q]
+        for d in range(1, max_d + 1):
+            want = [f for f in enumerate_monic(spec, d) if is_irreducible(f)]
+            assert list(enumerate_irreducibles(spec, d)) == want, (q, d)
 
     def test_members_are_irreducible(self, F3):
         for f in enumerate_irreducibles(F3, 3):
