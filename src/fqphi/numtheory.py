@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Sequence
+from typing import Iterable, Sequence
 
 #: Relative guard band for floating-point bound comparisons.
 GUARD = 1e-9
@@ -258,22 +258,29 @@ def stirling_sandwich_holds(n: int) -> bool:
     return lower * (1 + GUARD) < fact and fact < upper * (1 - GUARD)
 
 
-def count_solutions(weights: Sequence[int], budget: int) -> int:
-    """Number of non-negative integer solutions of sum(a_i x_i) <= budget.
+def compositions(weights: Iterable[int], limit: int) -> list[int]:
+    """Entry w in 0..limit: the number of non-negative integer solutions of
+    sum(a_i x_i) = w, one unknown x_i per positive weight a_i (repeats
+    allowed).
 
-    Budget-indexed dynamic programming, O(len(weights) * budget) time.
+    The coefficients of prod_i 1 / (1 - x**a_i) up to x**limit: each weight
+    is one prefix-sum pass.
     """
+    ways = [1] + [0] * limit
+    for a in weights:
+        for w in range(a, limit + 1):
+            ways[w] += ways[w - a]
+    return ways
+
+
+def count_solutions(weights: Sequence[int], budget: int) -> int:
+    """Number of non-negative integer solutions of sum(a_i x_i) <= budget."""
     weights = list(weights)
     if not weights or any(a < 1 for a in weights):
         raise ValueError("weights must be non-empty positive integers")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    ways = [0] * (budget + 1)
-    ways[0] = 1
-    for a in weights:
-        for b in range(a, budget + 1):
-            ways[b] += ways[b - a]
-    return sum(ways)
+    return sum(compositions(weights, budget))
 
 
 def solution_count_sandwich_holds(weights: Sequence[int], budget: int) -> bool:

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, gcd, log, prod
+from math import comb, gcd, prod
 from typing import Iterator, NamedTuple
 
 from .errors import CounterexampleError
 from .gfpoly import (FieldSpec, Poly, enumerate_monic, kron_pack,
                      kron_unpack, kron_width)
-from .numtheory import GUARD, factor_int
+from .numtheory import compositions, factor_int, ilog
 
 
 class Representation(NamedTuple):
@@ -221,33 +220,21 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
     return found
 
 
-def _weighted_compositions(counts: dict[int, int], j: int) -> list[int]:
-    # Entry w: the sum over {j_d >= 0 on the support, sum d*j_d = w} of
-    # prod C(j_d + m_d - 1, m_d - 1), the exponent-distribution choices,
-    # for w = 0..j.  That is the coefficient of x**w in
-    # prod_d (1 - x**d)**-m_d; each factor 1 / (1 - x**d) is one prefix-sum
-    # pass over the coefficients.
-    ways = [1] + [0] * j
-    for d, m in counts.items():
-        if d > j:
-            continue  # leaves every coefficient up to x**j as it is
-        for _ in range(m):
-            for w in range(d, j + 1):
-                ways[w] += ways[w - d]
-    return ways
-
-
 def _count_for(rep: Representation, spec: FieldSpec) -> int:
+    j = rep.j
     chooser = prod(comb(spec.pi(d), m) for d, m in rep.counts.items())
-    ways = _weighted_compositions(rep.counts, rep.j)
+    # Entry w: the ways to raise the irreducible factors to powers that add
+    # degree w, one unknown per factor: the sum over {j_d >= 0 on the
+    # support, sum d*j_d = w} of prod C(j_d + m_d - 1, m_d - 1).
+    ways = compositions(
+        [d for d, m in rep.counts.items() if d <= j for _ in range(m)], j)
     # No factor at all is the constant polynomial, never a preimage.
     total = ways[-1] if rep.counts else 0
     if spec.q == 2:
-        # m_1 = 1, 2 of the two linear irreducibles, which leave the value
-        # alone: each is one more degree-1 prefix-sum pass.
-        for m1 in (1, 2):
-            ways = list(accumulate(ways))
-            total += comb(2, m1) * ways[-1]
+        # m_1 = 1, 2 of the two linear irreducibles leave the value alone:
+        # C(2, m_1) choices, and their m_1 unknowns of weight 1 take the
+        # remaining degree j - i in 1 and j - i + 1 ways.
+        total += sum((j - i + 3) * w for i, w in enumerate(ways))
     return chooser * total
 
 
@@ -264,16 +251,23 @@ def _min_phis(spec: FieldSpec, top: int) -> list[int]:
     # data of degree D, for D = 0..top: one bounded knapsack on prime weight,
     # started from the q-power fill q**D of the empty data.  Entry D stays a
     # value of degree-D data because every update adds weight d to an entry
-    # of weight D - d.
+    # of weight D - d.  The c-th pass over degree d allows c factors of that
+    # degree, so it can only lower entries of weight >= c*d; a pass that
+    # lowers nothing leaves the same table for the next one, which would
+    # lower nothing either.
     q = spec.q
     best = [q**w for w in range(top + 1)]
     for d in range(1, top + 1):
         b = q**d - 1
-        for _ in range(min(spec.pi(d), top // d)):
-            for w in range(top, d - 1, -1):
+        for c in range(1, min(spec.pi(d), top // d) + 1):
+            lowered = False
+            for w in range(top, c * d - 1, -1):
                 cand = best[w - d] * b
                 if cand < best[w]:
                     best[w] = cand
+                    lowered = True
+            if not lowered:
+                break
     return best
 
 
@@ -297,35 +291,27 @@ def min_phi(spec: FieldSpec, degree: int) -> int:
 def degree_bound(n: int, spec: FieldSpec) -> int:
     """Largest degree any monic preimage of n can have.
 
-    Every monic f of degree D has phi(f) = |f| prod_{P | f} (1 - 1/|P|)
-    >= L(D) = q**D prod_{d <= D} (1 - q**-d)**pi_q(d), since f has at most
-    pi_q(d) distinct prime divisors of degree d and every factor is below 1.
-    L never decreases for D >= 1: by Bernoulli's inequality and
-    (D+1) pi_q(D+1) <= q**(D+1),
+    Every monic f of degree D has phi(f) >= min_phi(D), and min_phi never
+    decreases, so the bound is the last D with min_phi(D) <= n.  One
+    knapsack to a degree past which no monic has totient n finds it.  Such
+    a degree: f has at most pi_q(d) prime divisors of degree d, so
+    phi(f) >= L(D) = q**D prod_{d <= D} (1 - q**-d)**pi_q(d).  By
+    Bernoulli's inequality and (D+1) pi_q(D+1) <= q**(D+1),
 
-        L(D+1) / L(D) = q (1 - q**-(D+1))**pi_q(D+1) >= q D / (D+1) >= 1.
+        L(D+1) / L(D) = q (1 - q**-(D+1))**pi_q(D+1) >= q D / (D+1),
 
-    So once L(D) > n, no monic of degree >= D has totient n.  Below that
-    degree min_phi(d) is the exact minimum of phi over degree d, and the
-    bound is the largest such d with min_phi(d) <= n; one knapsack pass up
-    to the stop degree gives min_phi at every degree below it.  The walk
-    sums a lower bound on log L, using log(1 - x) >= -x / (1 - x), and
-    stops only with a margin of GUARD, so neither the bound nor rounding
-    can stop it early; they can only delay the stop.
+    and L(1) = q (1 - 1/q)**q >= q/4, so L(D) >= q**D / (4 D), which never
+    decreases.  With e = ilog(n, q), n < q**(e+1), so L(D) > n at every
+    D >= e + k once q**(k-1) > 4 (e + k).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q = spec.q
-    log_n = log(n)
-    log_q = log(q)
-    log_l = 0.0
-    stop = 0
-    while log_l - log_n <= GUARD * max(1.0, log_n):
-        stop += 1
-        # log(1 - q**-d) >= -1 / (q**d - 1); the ratio never underflows
-        log_l += log_q - spec.pi(stop) / (q**stop - 1)
-    phis = _min_phis(spec, stop - 1)
-    return max((d for d in range(1, stop) if phis[d] <= n), default=0)
+    e = ilog(n, q)
+    k = 1
+    while q ** (k - 1) <= 4 * (e + k):
+        k += 1
+    return bisect_right(_min_phis(spec, e + k), n) - 1
 
 
 def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:

@@ -27,6 +27,7 @@ from fqphi import (
 from fqphi import preimage
 from fqphi.numtheory import (
     GUARD,
+    compositions,
     factor_int,
     ilog,
     primitive_prime_divisors,
@@ -315,7 +316,8 @@ class TestWeightedCompositions:
             for js in product(*(range(j // d + 1) for d in degrees))
             if sum(d * j_d for d, j_d in zip(degrees, js)) == j
         )
-        assert preimage._weighted_compositions(counts, j)[j] == want
+        weights = [d for d, m in counts.items() for _ in range(m)]
+        assert compositions(weights, j)[j] == want
 
 
 class TestPreimageCount:
