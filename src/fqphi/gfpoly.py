@@ -718,7 +718,13 @@ def enumerate_irreducibles(spec: FieldSpec, d: int) -> Iterator[Poly]:
     """Monic irreducibles of degree d in enumeration order."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    for f in enumerate_monic(spec, d):
+    q = spec.q
+    # Above degree 1 a constant term 0 is the factor x, so the tails start
+    # at constant term 1; the constant term varies slowest, as in
+    # enumerate_monic, so the order is the same.
+    low = range(q) if d == 1 else range(1, q)
+    for tail in product(low, *[range(q)] * (d - 1)):
+        f = _mk(spec, tail + (1,))
         if d > 1 and any(f.evaluate(c) == 0 for c in spec.elements()):
             continue  # a root is a linear factor
         if is_irreducible(f):

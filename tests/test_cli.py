@@ -283,6 +283,14 @@ class TestEnumerationLimit:
         proc = self.run_cli("erdos", "scan", "--p", str(q), "--y", str(y))
         assert proc.returncode == 2 and "SCAN_LIMIT" in proc.stderr
 
+    def test_pi_over_a_large_extension(self):
+        # the modulus search once walked the 2**59 monics of degree 60
+        # with constant term 0, each divisible by x, before the first
+        # candidate that can be irreducible
+        proc = self.run_cli("pi", "--p", "2", "--s", "60", "--d", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"d": 1, "pi": str(2**60)}
+
     def test_pi_beyond_the_digit_limit(self):
         # 2**(10**12) alone would take about 125 GB
         proc = self.run_cli("pi", "--p", "2", "--d", str(10**12))
