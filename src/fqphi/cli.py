@@ -177,6 +177,12 @@ def _cmd_same_phi(args) -> int:
     return 0
 
 
+def _digit_limit() -> int:
+    # The interpreter's limit on the decimal digits of a printed integer;
+    # 0 means no limit, as on interpreters older than the limit itself.
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _cmd_pi(args) -> int:
     spec = _field(args)
     if args.d < 1:
@@ -186,8 +192,7 @@ def _cmd_pi(args) -> int:
     # and keeps the float finite.
     d = min(args.d, 10**300)
     digits = d * math.log10(spec.q) - math.log10(2 * d)
-    # 0 means no limit, as on interpreters older than the limit itself
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and digits * (1 - GUARD) > limit:
         raise ValueError(
             f"pi_q(d) for q = {spec.q}, d = {args.d} has more than {limit} "
@@ -223,6 +228,13 @@ def _cmd_preimage(args) -> int:
 def _cmd_sierpinski(args) -> int:
     spec = _field(args)
     n, expected = preimage.sierpinski_witness(spec, args.kind, args.l)
+    limit = _digit_limit()
+    if limit and n >= 10**limit:
+        # refused before counting: str(n) would fail after the count
+        raise ValueError(
+            f"n for --kind {args.kind} --l {args.l} over F_{spec.q} has more "
+            f"than {limit} decimal digits, the interpreter's limit for "
+            f"printing an integer")
     computed = preimage.preimage_count(n, spec)
     _emit(
         {

@@ -283,6 +283,27 @@ class TestEnumerationLimit:
         proc = self.run_cli("erdos", "scan", "--p", str(q), "--y", str(y))
         assert proc.returncode == 2 and "SCAN_LIMIT" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("--p", "3", "--kind", "power", "--l", "8"),
+        ("--p", "3", "--kind", "power", "--l", "9"),
+        ("--p", "2", "--kind", "exact", "--l", "100000"),
+        ("--p", "5", "--kind", "binomial", "--l", "100000")])
+    def test_sierpinski_beyond_the_digit_limit(self, argv):
+        # each once counted for 2.7 s to past 15 s before printing n failed
+        proc = self.run_cli("sierpinski", *argv)
+        assert proc.returncode == 2 and "digits" in proc.stderr
+
+    def test_sierpinski_at_the_digit_limit(self):
+        # 2**e < 10**limit < 2**(e+1): n = 2**(l-3) prints up to l = e + 3
+        e = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+        printed = self.run_cli(
+            "sierpinski", "--p", "2", "--kind", "exact", "--l", str(e + 3))
+        assert printed.returncode == 0, printed.stderr
+        assert json.loads(printed.stdout)["n"] == str(2**e)
+        refused = self.run_cli(
+            "sierpinski", "--p", "2", "--kind", "exact", "--l", str(e + 4))
+        assert refused.returncode == 2 and "digits" in refused.stderr
+
     def test_pi_over_a_large_extension(self):
         # the modulus search once walked the 2**59 monics of degree 60
         # with constant term 0, each divisible by x, before the first
