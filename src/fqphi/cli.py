@@ -177,10 +177,14 @@ def _cmd_same_phi(args) -> int:
     return 0
 
 
-def _digit_limit() -> int:
+def _refuse_unprintable(what: str, too_long) -> None:
     # The interpreter's limit on the decimal digits of a printed integer;
     # 0 means no limit, as on interpreters older than the limit itself.
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and too_long(limit):
+        raise ValueError(
+            f"{what} has more than {limit} decimal digits, the interpreter's "
+            f"limit for printing an integer")
 
 
 def _cmd_pi(args) -> int:
@@ -192,11 +196,8 @@ def _cmd_pi(args) -> int:
     # and keeps the float finite.
     d = min(args.d, 10**300)
     digits = d * math.log10(spec.q) - math.log10(2 * d)
-    limit = _digit_limit()
-    if limit and digits * (1 - GUARD) > limit:
-        raise ValueError(
-            f"pi_q(d) for q = {spec.q}, d = {args.d} has more than {limit} "
-            f"decimal digits, the interpreter's limit for printing an integer")
+    _refuse_unprintable(f"pi_q(d) for q = {spec.q}, d = {args.d}",
+                        lambda limit: digits * (1 - GUARD) > limit)
     _emit({"d": args.d, "pi": str(spec.pi(args.d))}, args.format)
     return 0
 
@@ -228,13 +229,10 @@ def _cmd_preimage(args) -> int:
 def _cmd_sierpinski(args) -> int:
     spec = _field(args)
     n, expected = preimage.sierpinski_witness(spec, args.kind, args.l)
-    limit = _digit_limit()
-    if limit and n >= 10**limit:
-        # refused before counting: str(n) would fail after the count
-        raise ValueError(
-            f"n for --kind {args.kind} --l {args.l} over F_{spec.q} has more "
-            f"than {limit} decimal digits, the interpreter's limit for "
-            f"printing an integer")
+    # before counting, which can take far longer than building n
+    _refuse_unprintable(
+        f"n for --kind {args.kind} --l {args.l} over F_{spec.q}",
+        lambda limit: n >= 10**limit)
     computed = preimage.preimage_count(n, spec)
     _emit(
         {

@@ -720,10 +720,8 @@ def enumerate_irreducibles(spec: FieldSpec, d: int) -> Iterator[Poly]:
         raise ValueError(f"degree must be >= 1, got {d}")
     q = spec.q
     # Above degree 1 a constant term 0 is the factor x, so the tails start
-    # at constant term 1; the constant term varies slowest, as in
-    # enumerate_monic, so the order is the same.
-    low = range(q) if d == 1 else range(1, q)
-    for tail in product(low, *[range(q)] * (d - 1)):
+    # at 1; the constant term varies slowest, so the order is unchanged.
+    for tail in product(range(1 if d > 1 else 0, q), *[range(q)] * (d - 1)):
         f = _mk(spec, tail + (1,))
         if d > 1 and any(f.evaluate(c) == 0 for c in spec.elements()):
             continue  # a root is a linear factor

@@ -260,11 +260,8 @@ def stirling_sandwich_holds(n: int) -> bool:
 
 def compositions(weights: Iterable[int], limit: int) -> list[int]:
     """Entry w in 0..limit: the number of non-negative integer solutions of
-    sum(a_i x_i) = w, one unknown x_i per positive weight a_i (repeats
-    allowed).
-
-    The coefficients of prod_i 1 / (1 - x**a_i) up to x**limit: each weight
-    is one prefix-sum pass.
+    sum(a_i x_i) = w, one unknown per positive weight (repeats allowed);
+    the coefficients of prod_i 1 / (1 - x**a_i), one prefix-sum pass each.
     """
     ways = [1] + [0] * limit
     for a in weights:

@@ -223,17 +223,16 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
 def _count_for(rep: Representation, spec: FieldSpec) -> int:
     j = rep.j
     chooser = prod(comb(spec.pi(d), m) for d, m in rep.counts.items())
-    # Entry w: the ways to raise the irreducible factors to powers that add
-    # degree w, one unknown per factor: the sum over {j_d >= 0 on the
-    # support, sum d*j_d = w} of prod C(j_d + m_d - 1, m_d - 1).
+    # Entry w: the ways to raise the m_d irreducibles of each degree d to
+    # powers that add degree w, one unknown per irreducible.
     ways = compositions(
         [d for d, m in rep.counts.items() if d <= j for _ in range(m)], j)
     # No factor at all is the constant polynomial, never a preimage.
     total = ways[-1] if rep.counts else 0
     if spec.q == 2:
         # m_1 = 1, 2 of the two linear irreducibles leave the value alone:
-        # C(2, m_1) choices, and their m_1 unknowns of weight 1 take the
-        # remaining degree j - i in 1 and j - i + 1 ways.
+        # C(2, m_1) choices, whose m_1 unknowns of weight 1 take the rest,
+        # j - i, in 1 and j - i + 1 ways.
         total += sum((j - i + 3) * w for i, w in enumerate(ways))
     return chooser * total
 
@@ -251,10 +250,9 @@ def _min_phis(spec: FieldSpec, top: int) -> list[int]:
     # data of degree D, for D = 0..top: one bounded knapsack on prime weight,
     # started from the q-power fill q**D of the empty data.  Entry D stays a
     # value of degree-D data because every update adds weight d to an entry
-    # of weight D - d.  The c-th pass over degree d allows c factors of that
-    # degree, so it can only lower entries of weight >= c*d; a pass that
-    # lowers nothing leaves the same table for the next one, which would
-    # lower nothing either.
+    # of weight D - d.  Pass c over degree d allows c factors of it, so it
+    # lowers only entries of weight >= c*d, and after a pass that lowers
+    # nothing the next would lower nothing either.
     q = spec.q
     best = [q**w for w in range(top + 1)]
     for d in range(1, top + 1):
@@ -292,17 +290,14 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
     """Largest degree any monic preimage of n can have.
 
     Every monic f of degree D has phi(f) >= min_phi(D), and min_phi never
-    decreases, so the bound is the last D with min_phi(D) <= n.  One
-    knapsack to a degree past which no monic has totient n finds it.  Such
-    a degree: f has at most pi_q(d) prime divisors of degree d, so
-    phi(f) >= L(D) = q**D prod_{d <= D} (1 - q**-d)**pi_q(d).  By
-    Bernoulli's inequality and (D+1) pi_q(D+1) <= q**(D+1),
-
-        L(D+1) / L(D) = q (1 - q**-(D+1))**pi_q(D+1) >= q D / (D+1),
-
-    and L(1) = q (1 - 1/q)**q >= q/4, so L(D) >= q**D / (4 D), which never
-    decreases.  With e = ilog(n, q), n < q**(e+1), so L(D) > n at every
-    D >= e + k once q**(k-1) > 4 (e + k).
+    decreases, so the bound is the last D with min_phi(D) <= n; one
+    knapsack finds it, run to a degree past which no monic has totient n.
+    As f has at most pi_q(d) prime divisors of degree d, phi(f) >= L(D) =
+    q**D prod_{d <= D} (1 - q**-d)**pi_q(d).  By Bernoulli's inequality and
+    (D+1) pi_q(D+1) <= q**(D+1), L(D+1) / L(D) >= q D / (D+1); with
+    L(1) = q (1 - 1/q)**q >= q/4 that gives L(D) >= q**D / (4 D), which
+    never decreases.  So for e = ilog(n, q), as n < q**(e+1), L(D) > n at
+    every D >= e + k once q**(k-1) > 4 (e + k).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
