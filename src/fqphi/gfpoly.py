@@ -719,8 +719,8 @@ def enumerate_irreducibles(spec: FieldSpec, d: int) -> Iterator[Poly]:
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     q = spec.q
-    # Above degree 1 a constant term 0 is the factor x, so the tails start
-    # at 1; the constant term varies slowest, so the order is unchanged.
+    # Above degree 1 a constant term 0 is the factor x: the tails start at 1,
+    # with the constant term varying slowest, as in enumerate_monic.
     for tail in product(range(1 if d > 1 else 0, q), *[range(q)] * (d - 1)):
         f = _mk(spec, tail + (1,))
         if d > 1 and any(f.evaluate(c) == 0 for c in spec.elements()):

@@ -449,10 +449,10 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
     degree bound; sorted by (degree, coefficient codes).
 
     Raises ValueError when that means more than ``LIST_LIMIT`` monics,
-    before computing the bound.  Let D be the first degree at which the
-    monics of degree 1..D pass the limit.  The bound is the largest degree
-    with min_phi <= n, and min_phi never decreases, so the bound reaches D
-    exactly when min_phi(D) <= n.
+    before computing the bound; both rest on the same knapsack.  Let D be
+    the first degree at which the monics of degree 1..D pass the limit.
+    The bound is the last degree with min_phi <= n, and min_phi never
+    decreases, so the bound reaches D exactly when min_phi(D) <= n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
