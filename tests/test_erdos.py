@@ -5,6 +5,7 @@ import pytest
 
 from fqphi import (
     FieldSpec,
+    count_profile,
     erdos,
     enumerate_monic,
     erdos_witness,
@@ -13,6 +14,8 @@ from fqphi import (
     phi,
     phi_table,
     degree_bound,
+    preimage,
+    preimage_count,
     represent,
     sigma,
 )
@@ -263,6 +266,64 @@ class TestMembership:
                 for d in verdict.params:
                     value *= base**d - 1
                 assert value == n, (n, verdict)
+
+
+def fresh_count(n, spec):
+    return sum(preimage._count_for(rep, spec) for rep in represent(n, spec))
+
+
+class TestSharedFactoredForm:
+    """preimage_count, count_profile and intersection_member all read the
+    factored form of n; interleaved over five fields, with n repeated and
+    alternating, each answer must match one worked out afresh."""
+
+    FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5),
+              FieldSpec(3, 2)]
+
+    def pool(self, spec):
+        q = spec.q
+        rng = random.Random(q)
+        values = list(range(1, 120))
+        values += [q ** rng.randrange(4) * prod(
+            q ** rng.randrange(1, 12) - 1 for _ in range(rng.randrange(1, 4)))
+            for _ in range(60)]
+        if q in (2, 3):
+            values += seeded_family_members(q, 60)
+        return values
+
+    def test_seeded_interleaving(self):
+        rng = random.Random(14)
+        pools = {spec.q: self.pool(spec) for spec in self.FIELDS}
+        history = {spec.q: [1, 1] for spec in self.FIELDS}
+        spec = self.FIELDS[0]
+        members = 0
+        for step in range(1500):
+            if rng.random() < 0.3:
+                spec = rng.choice(self.FIELDS)
+            q = spec.q
+            pick = rng.random()
+            if pick < 0.3:
+                n = history[q][-1]  # the same n again
+            elif pick < 0.5:
+                n = history[q][-2]  # back to the n before it
+            else:
+                n = rng.choice(pools[q])
+            history[q].append(n)
+            call = rng.randrange(3)
+            if call == 0:
+                assert preimage_count(n, spec) == fresh_count(n, spec), (q, n)
+            elif call == 1:
+                profile = count_profile(n, spec)
+                assert profile.n == n, (q, n)
+                assert profile.count == fresh_count(n, spec), (q, n)
+            else:
+                verdict = intersection_member(n, spec)
+                want = (reference_member(n, q) if q in (2, 3)
+                        else (False, None, None))
+                got = verdict.member, verdict.family, verdict.params
+                assert verdict.n == n and got == want, (q, n)
+                members += verdict.member
+        assert members > 20
 
 
 class TestScan:

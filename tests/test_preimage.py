@@ -16,6 +16,7 @@ from fqphi import (
     FieldSpec,
     count_profile,
     degree_bound,
+    intersection_member,
     min_phi,
     phi,
     phi_table,
@@ -541,6 +542,39 @@ class TestCountProfile:
         for n in range(1, 10001):
             labels.add(count_profile(n, spec).label)
         assert "unique" in labels and "empty" in labels
+
+
+class TestSharedForm:
+    """The factored form one count reads is kept for the next question
+    about the same n; these pin what that must not change."""
+
+    @pytest.mark.parametrize("call", [preimage_count, count_profile,
+                                      intersection_member])
+    def test_zero_raises_and_stores_nothing(self, F3, call):
+        assert preimage_count(16, F3) == 9
+        with pytest.raises(ValueError):
+            call(0, F3)
+        with pytest.raises(ValueError):
+            call(0, F3)
+        memo = getattr(preimage, "_LAST", {})
+        assert all(entry[0] != 0 for entry in memo.values())
+        assert preimage_count(16, F3) == 9
+
+    def test_mutated_forms_leave_the_count(self, F3):
+        # 3**2 * 8 has two forms, m_1 = 3 and m_2 = 1 (see TestRepresent)
+        n = 9 * 8
+        want = sum(preimage._count_for(rep, F3) for rep in represent(n, F3))
+        forms = represent(n, F3)
+        assert len(forms) == 2
+        for rep in forms:
+            rep.counts[1] = 0
+        forms.append(forms[0])
+        assert preimage_count(n, F3) == want
+        forms = represent(n, F3)
+        forms.clear()
+        assert preimage_count(n, F3) == want
+        assert count_profile(n, F3).count == want
+        assert len(represent(n, F3)) == 2
 
 
 def test_f3_counts_are_pinned(F3):
