@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly
 from .numtheory import ilog
-from .preimage import preimage_list, represent, sieve
+from .preimage import _LAST, _factored, preimage_list, sieve
 
 
 class IntersectionVerdict(NamedTuple):
@@ -100,13 +100,21 @@ def intersection_member(n: int, spec: FieldSpec) -> IntersectionVerdict:
 
     * q | n: every family member is a product of numbers q**d - 1, and
       each is -1 mod q;
-    * ``represent`` finds no form for n: a member is a totient value.
+    * n has no factored form q**j prod (q**d - 1)**m_d: a member is a
+      totient value.  The forms are the ones ``preimage_count`` and
+      ``count_profile`` read, shared with them through ``preimage._LAST``,
+      so asking all three about one n walks it once.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q = spec.q
     families = _FAMILIES.get(q, ())
-    if not families or n % q == 0 or not represent(n, spec):
+    if not families or n % q == 0:
+        return IntersectionVerdict(n, False)
+    last = _LAST.get(q)
+    if last is None or last[0] != n:
+        last = _factored(n, spec)
+    if not last[1]:
         return IntersectionVerdict(n, False)
     for fam in families:
         fixed = _family_value(q, fam.fixed)

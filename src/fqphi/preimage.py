@@ -237,9 +237,28 @@ def _count_for(rep: Representation, spec: FieldSpec) -> int:
     return chooser * total
 
 
+# Per q: (n, its forms, its preimage count) for the last n counted over F_q.
+# preimage_count, count_profile and erdos.intersection_member all read the
+# factored form of n, so a caller that asks all three about one n walks it
+# once.  Only a call that succeeds stores an entry, a tuple replaced whole
+# as in _DEGREES; the list of forms is never handed to a caller.
+_LAST: dict[int, tuple[int, list[Representation], int]] = {}
+
+
+def _factored(n: int,
+              spec: FieldSpec) -> tuple[int, list[Representation], int]:
+    forms = represent(n, spec)
+    count = sum(_count_for(rep, spec) for rep in forms) if forms else 0
+    _LAST[spec.q] = last = n, forms, count
+    return last
+
+
 def preimage_count(n: int, spec: FieldSpec) -> int:
     """|phi^-1(n) intersect monics|, exactly, from the factored form of n."""
-    return sum(_count_for(rep, spec) for rep in represent(n, spec))
+    last = _LAST.get(spec.q)
+    if last is None or last[0] != n:
+        last = _factored(n, spec)
+    return last[2]
 
 
 # -- degree bound and the brute-force oracle ---------------------------------
@@ -496,9 +515,11 @@ def count_profile(n: int, spec: FieldSpec) -> CountProfile:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    reps = represent(n, spec)
-    count = sum(_count_for(rep, spec) for rep in reps)
     q = spec.q
+    last = _LAST.get(q)
+    if last is None or last[0] != n:
+        last = _factored(n, spec)
+    _, reps, count = last
     if q == 2:
         if count == 0:
             label = "empty"

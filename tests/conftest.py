@@ -1,6 +1,12 @@
 import pytest
 
-from fqphi import FieldSpec
+from fqphi import FieldSpec, preimage
+
+
+@pytest.fixture(autouse=True)
+def no_last_form():
+    # a form left by an earlier test would skip the walk a test observes
+    preimage._LAST.clear()
 
 
 @pytest.fixture(scope="session")

@@ -556,8 +556,7 @@ class TestSharedForm:
             call(0, F3)
         with pytest.raises(ValueError):
             call(0, F3)
-        memo = getattr(preimage, "_LAST", {})
-        assert all(entry[0] != 0 for entry in memo.values())
+        assert all(entry[0] != 0 for entry in preimage._LAST.values())
         assert preimage_count(16, F3) == 9
 
     def test_mutated_forms_leave_the_count(self, F3):
@@ -575,6 +574,20 @@ class TestSharedForm:
         assert preimage_count(n, F3) == want
         assert count_profile(n, F3).count == want
         assert len(represent(n, F3)) == 2
+
+    def test_one_walk_per_n(self, F2, monkeypatch):
+        # count_profile and intersection_member read the form preimage_count
+        # just found; 2**31 - 1 is in the q = 2 intersection
+        calls = []
+        walk = preimage.represent
+        monkeypatch.setattr(preimage, "represent",
+                            lambda n, spec: calls.append(n) or walk(n, spec))
+        n = 2**31 - 1
+        count = preimage_count(n, F2)
+        assert count_profile(n, F2).count == count
+        assert intersection_member(n, F2).member
+        assert preimage_count(n, F2) == count
+        assert calls == [n]
 
 
 def test_f3_counts_are_pinned(F3):
