@@ -226,13 +226,39 @@ def _cmd_preimage(args) -> int:
     return 0 if profile.count else 1
 
 
+def _sierpinski_too_long(spec: FieldSpec, kind: str, l: int,
+                         limit: int) -> bool:
+    # A lower bound on log10 n for the constructions of sierpinski_witness,
+    # checked before n is built: building it can take seconds and gigabytes.
+    # Capping l keeps a lower bound, as each bound grows with l, and keeps
+    # the float finite.
+    q = spec.q
+    if (kind == "exact") != (q == 2):
+        return False  # sierpinski_witness refuses the construction itself
+    top = min(l, 10**300)
+    if kind == "exact":
+        digits = (top - 3) * math.log10(2)
+    else:
+        digits = top * math.log10(q)
+    if kind == "power":
+        # n = q**l prod_{d <= l} (q**d - 1)**pi_q(d), summed only until the
+        # bound passes the limit, so pi_q(d) is never computed far past it
+        d = 1
+        while d <= l and digits * (1 - GUARD) <= limit:
+            digits += spec.pi(d) * math.log10(q**d - 1)
+            d += 1
+    return digits * (1 - GUARD) > limit
+
+
 def _cmd_sierpinski(args) -> int:
     spec = _field(args)
+    what = f"n for --kind {args.kind} --l {args.l} over F_{spec.q}"
+    _refuse_unprintable(what, lambda limit: _sierpinski_too_long(
+        spec, args.kind, args.l, limit))
     n, expected = preimage.sierpinski_witness(spec, args.kind, args.l)
-    # before counting, which can take far longer than building n
-    _refuse_unprintable(
-        f"n for --kind {args.kind} --l {args.l} over F_{spec.q}",
-        lambda limit: n >= 10**limit)
+    # the exact test, for the band just below the bound, before counting,
+    # which can take far longer than building n
+    _refuse_unprintable(what, lambda limit: n >= 10**limit)
     computed = preimage.preimage_count(n, spec)
     _emit(
         {

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fqphi import FieldSpec, parse_poly
+from fqphi import FieldSpec, parse_poly, preimage
 from fqphi.cli import main
 
 
@@ -128,6 +128,16 @@ class TestPreimageCommand:
         assert code == 0 and payload == {"count": "5", "class": "exactly-q"}
 
 
+# Values of n far past the printing limit.  Each was once built in full
+# before the refusal, which took 5 to 9 s on a 2-core x86-64 host, and
+# past 30 s for the binomial one at l = 10**8.
+SIERPINSKI_PAST_THE_LIMIT = [
+    ("--p", "3", "--kind", "power", "--l", "14"),
+    ("--p", "3", "--kind", "binomial", "--l", "10000000"),
+    ("--p", "3", "--kind", "binomial", "--l", "100000000"),
+    ("--p", "2", "--kind", "exact", "--l", "1000000000")]
+
+
 class TestSierpinskiCommand:
     def test_exact_goal(self, capsys):
         code, payload = run_json(
@@ -140,6 +150,15 @@ class TestSierpinskiCommand:
         code, _, err = run(
             capsys, "sierpinski", "--p", "3", "--kind", "exact", "--l", "5")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("argv", SIERPINSKI_PAST_THE_LIMIT)
+    def test_refused_before_n_is_built(self, capsys, monkeypatch, argv):
+        def build(*args):
+            raise AssertionError("n was built")
+
+        monkeypatch.setattr(preimage, "sierpinski_witness", build)
+        code, _, err = run(capsys, "sierpinski", *argv)
+        assert code == 2 and "digits" in err
 
 
 class TestErdosCommand:
@@ -230,13 +249,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
 
-def run_subprocess(*argv):
-    """The CLI in a fresh interpreter, with a 30 s timeout: a hang or a
-    crash fails the test instead of the test run."""
+def run_subprocess(*argv, timeout=30):
+    """The CLI in a fresh interpreter, with a timeout: a hang or a crash
+    fails the test instead of the test run."""
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "fqphi.cli", *argv], env=env,
-        capture_output=True, text=True, timeout=30)
+        capture_output=True, text=True, timeout=timeout)
 
 
 class TestEnumerationLimit:
@@ -291,6 +310,12 @@ class TestEnumerationLimit:
     def test_sierpinski_beyond_the_digit_limit(self, argv):
         # each once counted for 2.7 s to past 15 s before printing n failed
         proc = self.run_cli("sierpinski", *argv)
+        assert proc.returncode == 2 and "digits" in proc.stderr
+
+    @pytest.mark.parametrize("argv", SIERPINSKI_PAST_THE_LIMIT)
+    def test_sierpinski_refused_at_once(self, argv):
+        # a refusal costs no more than the start-up
+        proc = run_subprocess("sierpinski", *argv, timeout=10)
         assert proc.returncode == 2 and "digits" in proc.stderr
 
     def test_sierpinski_at_the_digit_limit(self):
