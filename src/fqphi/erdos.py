@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly
 from .numtheory import ilog
-from .preimage import _LAST, _factored, preimage_list, sieve
+from .preimage import preimage_count, preimage_list, sieve
 
 
 class IntersectionVerdict(NamedTuple):
@@ -100,21 +100,16 @@ def intersection_member(n: int, spec: FieldSpec) -> IntersectionVerdict:
 
     * q | n: every family member is a product of numbers q**d - 1, and
       each is -1 mod q;
-    * n has no factored form q**j prod (q**d - 1)**m_d: a member is a
-      totient value.  The forms are the ones ``preimage_count`` and
-      ``count_profile`` read, shared with them through ``preimage._LAST``,
-      so asking all three about one n walks it once.
+    * n has no preimage under phi: a member is a totient value.
+      ``preimage_count`` reads n's factored form, and the form and count
+      it last found per field are kept, so asking it, ``count_profile``
+      and this function about one n walks the form once.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q = spec.q
     families = _FAMILIES.get(q, ())
-    if not families or n % q == 0:
-        return IntersectionVerdict(n, False)
-    last = _LAST.get(q)
-    if last is None or last[0] != n:
-        last = _factored(n, spec)
-    if not last[1]:
+    if not families or n % q == 0 or not preimage_count(n, spec):
         return IntersectionVerdict(n, False)
     for fam in families:
         fixed = _family_value(q, fam.fixed)

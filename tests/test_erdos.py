@@ -173,9 +173,9 @@ def seeded_family_members(q, count, seed=11):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_members_are_prime_to_q_totient_values(q):
-    # intersection_member answers no at once when q | n or when
-    # ``represent`` finds no form: every member must be prime to q and have
-    # a form with j = 0.  Checked here on the scanning reference's members
+    # intersection_member answers no at once when q | n or when n has no
+    # preimage: every member must be prime to q and have a form with
+    # j = 0.  Checked here on the scanning reference's members
     # and on family instances, without intersection_member.
     spec = FieldSpec(q)
     ns = (list(range(1, 20001)) + seeded_family_products(q, 1000)
