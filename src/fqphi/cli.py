@@ -230,12 +230,12 @@ def _sierpinski_too_long(spec: FieldSpec, kind: str, l: int,
                          limit: int) -> bool:
     # A lower bound on log10 n for the constructions of sierpinski_witness,
     # checked before n is built: building it can take seconds and gigabytes.
-    # Capping l keeps a lower bound, as each bound grows with l, and keeps
-    # the float finite.
+    # Clamping l keeps a lower bound, as each bound grows with l, and keeps
+    # the float finite; sierpinski_witness refuses an l below its least.
     q = spec.q
     if (kind == "exact") != (q == 2):
         return False  # sierpinski_witness refuses the construction itself
-    top = min(l, 10**300)
+    top = min(max(l, 0), 10**300)
     if kind == "exact":
         digits = (top - 3) * math.log10(2)
     else:

@@ -129,13 +129,14 @@ class TestPreimageCommand:
 
 
 # Values of n far past the printing limit.  Each was once built in full
-# before the refusal, which took 5 to 9 s on a 2-core x86-64 host, and
-# past 30 s for the binomial one at l = 10**8.
+# before the refusal: 5 to 9 s on a 2-core x86-64 host for the first,
+# second and fourth, past 30 s for the third, and without end for the last.
 SIERPINSKI_PAST_THE_LIMIT = [
     ("--p", "3", "--kind", "power", "--l", "14"),
     ("--p", "3", "--kind", "binomial", "--l", "10000000"),
     ("--p", "3", "--kind", "binomial", "--l", "100000000"),
-    ("--p", "2", "--kind", "exact", "--l", "1000000000")]
+    ("--p", "2", "--kind", "exact", "--l", "1000000000"),
+    ("--p", "3", "--kind", "power", "--l", str(10**400))]
 
 
 class TestSierpinskiCommand:
@@ -150,6 +151,14 @@ class TestSierpinskiCommand:
         code, _, err = run(
             capsys, "sierpinski", "--p", "3", "--kind", "exact", "--l", "5")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("kind", ["exact", "power", "binomial"])
+    def test_l_far_below_the_least(self, capsys, kind):
+        # the digit bound clamps l before it becomes a float
+        p = "2" if kind == "exact" else "3"
+        code, _, err = run(capsys, "sierpinski", "--p", p, "--kind", kind,
+                           "--l", str(-10**400))
+        assert code == 2 and "needs l" in err
 
     @pytest.mark.parametrize("argv", SIERPINSKI_PAST_THE_LIMIT)
     def test_refused_before_n_is_built(self, capsys, monkeypatch, argv):
