@@ -98,10 +98,14 @@ def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
+        import csv  # here, so that the other formats do not load it
+
         if csv_rows is None:
             csv_rows = [list(payload.keys()), [payload[k] for k in payload]]
-        for row in csv_rows:
-            print(",".join(str(cell) for cell in row))
+        # a nested dict or list goes in one cell as JSON text
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [json.dumps(cell) if isinstance(cell, (dict, list)) else cell
+             for cell in row] for row in csv_rows)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")

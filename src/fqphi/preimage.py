@@ -343,7 +343,7 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
         phi(P g) = phi(g) |P|        if P | g, else phi(g) (|P| - 1)
         sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
 
-    give the values without ``factor``, the Rabin test or any counting
+    give the values without ``factor``, ``is_irreducible`` or any counting
     formula; the only arithmetic trusted is polynomial multiplication.
     Over a prime field that is the packed kernel of ``gfpoly``
     (``kron_pack``/``kron_unpack``, one lane width for the whole build):

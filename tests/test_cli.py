@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -204,6 +205,28 @@ class TestErdosCommand:
         assert code == 1 and payload == {"member": False}
 
 
+class TestCsvFormat:
+    """Every CSV row has one cell per header field, and a dict or list field
+    is one cell holding its JSON text."""
+
+    @pytest.mark.parametrize("argv", [
+        ("phi", "--p", "2", "--poly", "x^3+x+1"),
+        ("signature", "--p", "2", "--poly", "x^6+x^5+x^3+x^2"),
+        ("erdos", "member", "--p", "2", "--n", "1905"),
+    ], ids=["phi", "signature", "erdos-member"])
+    def test_nested_cells_are_json(self, capsys, argv):
+        _, payload = run_json(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert header == list(payload)
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+        nested = [k for k, v in payload.items() if isinstance(v, (dict, list))]
+        assert nested
+        for key in nested:
+            assert json.loads(rows[0][header.index(key)]) == payload[key]
+
+
 class TestDensityCommand:
     def test_csv_schema(self, capsys):
         code, out, _ = run(
@@ -345,6 +368,14 @@ class TestEnumerationLimit:
         proc = self.run_cli("pi", "--p", "2", "--s", "60", "--d", "1")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"d": 1, "pi": str(2**60)}
+
+    @pytest.mark.parametrize("command,poly", [
+        ("phi", "x^99999999999"), ("factor", "x^100000000000000000000")])
+    def test_poly_exponent_beyond_the_limit(self, command, poly):
+        # these once ended in a MemoryError and an OverflowError traceback
+        # with exit 1, the code for a failed mathematical check
+        proc = run_subprocess(command, "--p", "2", "--poly", poly, timeout=10)
+        assert proc.returncode == 2 and "EXPONENT_LIMIT" in proc.stderr
 
     def test_pi_beyond_the_digit_limit(self):
         # 2**(10**12) alone would take about 125 GB

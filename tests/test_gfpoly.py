@@ -303,10 +303,13 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible(F2.one())
 
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_agrees_with_trial_division(self, q):
+    # F_2 to degree 6 reaches the squares of the degree-3 irreducibles,
+    # whose only factor degree is exactly d/2; F_4 is an extension field
+    @pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 5), (4, 4), (5, 4)],
+                             ids=["2", "3", "4", "5"])
+    def test_agrees_with_trial_division(self, q, max_deg):
         spec = FIELDS[q]
-        for f in monics_up_to(spec, 5):
+        for f in monics_up_to(spec, max_deg):
             assert is_irreducible(f) == (not reducible_by_trial_division(f)), f
 
 
@@ -465,6 +468,13 @@ class TestTextForm:
         for text in ("", "x^", "y+1", "x**2", "3*x", "x^2+3"):
             with pytest.raises(ValueError):
                 parse_poly(F3, text)
+
+    def test_exponent_limit(self, F2):
+        limit = gfpoly.EXPONENT_LIMIT
+        assert parse_poly(F2, f"x^{limit}+1").degree == limit
+        for text in (f"x^{limit + 1}", f"1+x^{10**20}", f"x+x^{10**20}+1"):
+            with pytest.raises(ValueError, match="EXPONENT_LIMIT"):
+                parse_poly(F2, text)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @given(data=st.data())
