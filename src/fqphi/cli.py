@@ -155,7 +155,9 @@ def _cmd_factor(args) -> int:
             {"poly": str(part), "exp": exp} for part, exp in fac.parts
         ],
     }
-    rows = [["poly", "exp"]] + [[str(p), e] for p, e in fac.parts]
+    # a unit other than 1 is a constant row, so the rows multiply to the input
+    unit = [] if fac.unit == 1 else [[str(spec.constant(fac.unit)), 1]]
+    rows = [["poly", "exp"]] + unit + [[str(p), e] for p, e in fac.parts]
     _emit(payload, args.format, csv_rows=rows)
     return 0
 
@@ -348,21 +350,24 @@ def _cmd_verify(args) -> int:
     results = run_suite(args.suite, budgets)
     passed = sum(1 for r in results if r.ok)
     failed = len(results) - passed
-    if args.format == "json":
-        print(json.dumps({
-            "suite": args.suite,
-            "checks": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in results
-            ],
-            "passed": passed,
-            "failed": failed,
-        }))
-    else:
+    if args.format == "text":
         for r in results:
             mark = "PASS" if r.ok else "FAIL"
             print(f"[{mark}] {r.name}: {r.detail}")
         print(f"{passed} passed, {failed} failed")
+        return 0 if failed == 0 else 1
+    payload = {
+        "suite": args.suite,
+        "checks": [
+            {"name": r.name, "ok": r.ok, "detail": r.detail}
+            for r in results
+        ],
+        "passed": passed,
+        "failed": failed,
+    }
+    rows = [["name", "ok", "detail"]] + [
+        [r.name, r.ok, r.detail] for r in results]
+    _emit(payload, args.format, csv_rows=rows)
     return 0 if failed == 0 else 1
 
 

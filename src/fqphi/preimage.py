@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import product
 from math import comb, gcd, prod
 from typing import Iterator, NamedTuple
 
 from .errors import CounterexampleError
-from .gfpoly import (FieldSpec, Poly, enumerate_monic, kron_pack,
-                     kron_unpack, kron_width)
+from .gfpoly import FieldSpec, Poly, _mk, kron_unpack, kron_width
 from .numtheory import compositions, factor_int, ilog
 
 
@@ -328,6 +328,149 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
     return bisect_right(_min_phis(spec, e + k), n) - 1
 
 
+# Residue -> digit character, so that the lanes of a product read as one
+# base-q numeral; one-byte lanes need (p - 1)**2 < 256, so p <= 13.
+_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _lanes_position(value: int, d: int, q: int, digits: bytes) -> int:
+    """Position among the monics of degree d of the product packed in
+    ``value`` with one-byte lanes, or -1 when it is not such a monic.
+
+    ``digits`` maps each byte to the digit of its residue mod q, so the d
+    lower lanes, constant term first, are the base-q numeral of the
+    position and the top lane must read 1.  A product that needs more than
+    d + 1 lanes does not fit ``to_bytes``.
+    """
+    try:
+        lanes = value.to_bytes(d + 1, "little").translate(digits)
+    except OverflowError:
+        return -1
+    if lanes[-1] != 49:  # b"1"
+        return -1
+    return int(lanes[:-1], q)
+
+
+def _codes_position(codes, d: int, q: int) -> int:
+    """Position among the monics of degree d of the product with these
+    coefficient codes, or -1 when it is not such a monic."""
+    if len(codes) != d + 1 or codes[-1] != 1:
+        return -1
+    pos = 0
+    for c in codes[:-1]:
+        pos = pos * q + c
+    return pos
+
+
+def _sieve_levels(spec: FieldSpec, max_deg: int):
+    """The sieve of ``sieve``, one degree d = 1..max_deg at a time, as
+    ``(polys, irreducibles, smallest, sigma, phi, cofactor)``.
+
+    ``polys`` are the monics of degree d in enumeration order (a list below
+    max_deg, an iterator at max_deg), and the other lists are indexed like
+    them: the index of the smallest prime factor, sigma, phi and the
+    cofactor (None for an irreducible).  ``irreducibles`` lists the
+    irreducibles by index up to degree max_deg // 2, the only ones that
+    can be the smallest factor of a reducible monic.
+    """
+    if max_deg < 0:
+        raise ValueError(f"max_deg must be >= 0, got {max_deg}")
+    q, p = spec.q, spec.p
+    packed = spec.s == 1
+    # One lane width serves the whole build: P has degree <= max_deg // 2.
+    width = kron_width(p, max_deg // 2 + 1)
+    digits = (bytes(_DIGITS[v % p] for v in range(256))
+              if packed and width == 1 else None)
+    shift = 8 * width
+    # The irreducibles that can be a smallest factor P, and beside them the
+    # same packed over a prime field; those of degree e have indices
+    # starts[e]..starts[e+1]-1.
+    irreducibles: list[Poly] = []
+    factors: list = []
+    starts = [0, 0]
+    # Per degree below max_deg: its monics, packed once over a prime field
+    # (else the Polys themselves), and the smallest factor's index, the
+    # prime power |P|**e exactly dividing, sigma and phi of each.
+    levels: list[tuple | None] = [None]
+    packs = [1]  # the monic of degree 0
+    for d in range(1, max_deg + 1):
+        size = q**d
+        # Every monic starts as an irreducible; a product overwrites it.
+        smallest = [-1] * size
+        power = [size] * size
+        sigmas = [size + 1] * size
+        phis = [size - 1] * size
+        cofactors: list[Poly | None] = [None] * size
+        if packed and d < max_deg:  # the top degree is never a cofactor
+            packs = [c + (t << shift) for c in range(q) for t in packs]
+        for e in range(1, d // 2 + 1):
+            lo, hi = starts[e], starts[e + 1]
+            size_p = q**e
+            g_polys, g_packed, g_small, g_power, g_sigma, g_phi = levels[d - e]
+            for k, gi in enumerate(g_small):
+                if gi < lo:
+                    continue
+                g = g_polys[k]
+                packed_g = g_packed[k]
+                # P below g's smallest factor: the same values for every P
+                coprime = (size_p, g_sigma[k] * (size_p + 1),
+                           g_phi[k] * (size_p - 1))
+                for i in range(lo, min(hi, gi + 1)):
+                    if digits is not None:
+                        pos = _lanes_position(factors[i] * packed_g, d, q,
+                                              digits)
+                    elif packed:
+                        pos = _codes_position(kron_unpack(
+                            factors[i] * packed_g, p, width), d, q)
+                    else:
+                        pos = _codes_position((factors[i] * g).coeffs, d, q)
+                    if pos < 0:
+                        raise CounterexampleError(
+                            f"sieve over F_{q}: ({irreducibles[i]})*({g}) is "
+                            f"not a monic of degree {d}")
+                    if smallest[pos] >= 0:
+                        f = spec.poly([pos // q**(d - 1 - j) % q
+                                       for j in range(d)] + [1])
+                        raise CounterexampleError(
+                            f"sieve over F_{q} reached {f} twice")
+                    smallest[pos] = i
+                    cofactors[pos] = g
+                    if gi == i:  # P already divides g: one more power
+                        pp = g_power[k] * size_p
+                        power[pos] = pp
+                        sigmas[pos] = (g_sigma[k] * (pp * size_p - 1)
+                                       // (pp - 1))
+                        phis[pos] = g_phi[k] * size_p
+                    else:
+                        power[pos], sigmas[pos], phis[pos] = coprime
+            if d == max_deg or 2 * e == d:
+                levels[d - e] = None  # no higher degree has this cofactor
+        # Built after the products, when the levels freed above are gone;
+        # the top degree's only as they are read, since no product needs them.
+        polys = (_mk(spec, tail + (1,))
+                 for tail in product(range(q), repeat=d))
+        if d < max_deg:
+            polys = list(polys)
+            if not packed:
+                packs = polys
+        # A monic that no product reaches is irreducible.
+        unreached = [pos for pos, i in enumerate(smallest) if i < 0]
+        if len(unreached) != spec.pi(d):
+            raise CounterexampleError(
+                f"sieve over F_{q} found {len(unreached)} irreducibles of "
+                f"degree {d}, pi_q({d}) = {spec.pi(d)}")
+        first = starts[-1]
+        for index, pos in enumerate(unreached, first):
+            smallest[pos] = index
+        starts.append(first + len(unreached))
+        if 2 * d <= max_deg:
+            irreducibles += [polys[pos] for pos in unreached]
+            factors += [packs[pos] for pos in unreached]
+        if d < max_deg:
+            levels.append((polys, packs, smallest, power, sigmas, phis))
+        yield polys, irreducibles, smallest, sigmas, phis, cofactors
+
+
 def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     """Every monic of degree 1..max_deg in enumeration order, built from its
     prime factors by a sieve over unique factorization in F_q[x].
@@ -337,96 +480,31 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     smallest prime factor: P has degree <= d/2 and an index no larger than
     that of g's smallest factor.  A monic that no product reaches is
     irreducible.  Every monic carries the index of its smallest factor P,
-    |P|**e for the exact power P**e dividing it, sigma and phi.  With P**e
-    exactly dividing g (e = 0 when P does not divide g), the recurrences
+    |P|**e for the exact power P**e dividing it, sigma and phi, in flat
+    lists per degree indexed by position.  With P**e exactly dividing g
+    (e = 0 when P does not divide g), the recurrences
 
         phi(P g) = phi(g) |P|        if P | g, else phi(g) (|P| - 1)
         sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
 
     give the values without ``factor``, ``is_irreducible`` or any counting
     formula; the only arithmetic trusted is polynomial multiplication.
-    Over a prime field that is the packed kernel of ``gfpoly``
-    (``kron_pack``/``kron_unpack``, one lane width for the whole build):
-    each P is packed once, each g once per degree of P, and a product is
-    one integer multiply.  Over an extension field it is ``Poly.__mul__``.
-    Three invariants are checked as each degree is built, and raise
-    CounterexampleError: every product is a monic of degree d, no monic is
-    reached twice, and degree d has exactly pi_q(d) irreducibles.
+    Over a prime field that is the packed kernel of ``gfpoly`` with one
+    lane width for the whole build: each P and each degree's monics are
+    packed once, and a product is one integer multiply.  With one-byte
+    lanes its position is decoded in one step, the lanes read as a base-q
+    numeral; wider lanes go through ``kron_unpack``.  Over an extension
+    field it is ``Poly.__mul__``.  Three invariants are checked as each
+    degree is built, and raise CounterexampleError: every product is a
+    monic of degree d, no monic is reached twice, and degree d has exactly
+    pi_q(d) irreducibles.
     """
-    if max_deg < 0:
-        raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-    q, p = spec.q, spec.p
-    packed = spec.s == 1
-    # One lane width serves the whole build: P has degree <= max_deg // 2.
-    width = kron_width(p, max_deg // 2 + 1)
-    irreducibles: list[Poly] = []
-    # The irreducibles that can be a smallest factor P, packed once over a
-    # prime field; those of degree e have indices starts[e]..starts[e+1]-1.
-    factors: list = []
-    starts = [0, 0]
-    # Monics of each degree below max_deg and their states, in enumeration
-    # order; a monic's position there is its tail read as base-q digits.
-    polys: list[list[Poly]] = [[]]
-    states: list[list[tuple | None]] = [[]]
-    for d in range(1, max_deg + 1):
-        level_states: list[tuple | None] = [None] * q**d
-        for e in range(1, d // 2 + 1):
-            lo, hi = starts[e], starts[e + 1]
-            size = q**e
-            for g, (gi, gpp, gsig, gphi, _) in zip(polys[d - e], states[d - e]):
-                if gi < lo:
-                    continue
-                packed_g = kron_pack(g.coeffs, width) if packed else g
-                for i in range(lo, min(hi, gi + 1)):
-                    if gi == i:  # P already divides g: one more power
-                        pp = gpp * size
-                        state = (i, pp, gsig * (pp * size - 1) // (pp - 1),
-                                 gphi * size, g)
-                    else:
-                        state = (i, size, gsig * (size + 1), gphi * (size - 1),
-                                 g)
-                    if packed:
-                        product = kron_unpack(factors[i] * packed_g, p, width)
-                    else:
-                        product = (factors[i] * g).coeffs
-                    if len(product) != d + 1 or product[-1] != 1:
-                        raise CounterexampleError(
-                            f"sieve over F_{q}: ({irreducibles[i]})*({g}) is "
-                            f"not a monic of degree {d}")
-                    pos = 0
-                    for c in product[:-1]:
-                        pos = pos * q + c
-                    if level_states[pos] is not None:
-                        raise CounterexampleError(
-                            f"sieve over F_{q} reached {spec.poly(product)} "
-                            f"twice")
-                    level_states[pos] = state
-        level: list[Poly] = []
-        size = q**d
-        found = 0
-        for pos, f in enumerate(enumerate_monic(spec, d)):
-            state = level_states[pos]
-            if state is None:
-                state = (len(irreducibles), size, size + 1, size - 1, None)
-                irreducibles.append(f)
-                if 2 * d <= max_deg:
-                    factors.append(
-                        kron_pack(f.coeffs, width) if packed else f)
-                found += 1
-            if d < max_deg:
-                level.append(f)
-                level_states[pos] = state
-            else:
-                level_states[pos] = None  # never a cofactor: free it now
-            yield SieveEntry(f, irreducibles[state[0]], state[4], state[2],
-                             state[3])
-        if found != spec.pi(d):
-            raise CounterexampleError(
-                f"sieve over F_{q} found {found} irreducibles of degree {d}, "
-                f"pi_q({d}) = {spec.pi(d)}")
-        starts.append(len(irreducibles))
-        polys.append(level)
-        states.append(level_states)
+    for polys, irreducibles, smallest, sigmas, phis, cofactors in (
+            _sieve_levels(spec, max_deg)):
+        for f, i, sig, phi, g in zip(polys, smallest, sigmas, phis,
+                                     cofactors):
+            yield SieveEntry(f, f if g is None else irreducibles[i], g, sig,
+                             phi)
 
 
 # One build is cached: the erdos suite reads phi and sigma from the same
@@ -435,9 +513,10 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
 def _sieve_tables(spec: FieldSpec, max_deg: int):
     table: dict[int, list[Poly]] = {}
     sigmas: set[int] = set()
-    for entry in sieve(spec, max_deg):
-        table.setdefault(entry.phi, []).append(entry.poly)
-        sigmas.add(entry.sigma)
+    for polys, _, _, sigma, phi, _ in _sieve_levels(spec, max_deg):
+        for f, value in zip(polys, phi):
+            table.setdefault(value, []).append(f)
+        sigmas.update(sigma)
     return table, frozenset(sigmas)
 
 

@@ -67,6 +67,34 @@ class TestSigmaFactorSignature:
             rebuilt = rebuilt * parse_poly(spec, item["poly"]) ** item["exp"]
         assert rebuilt == parse_poly(spec, "x^4+2*x^3+2*x")
 
+    @pytest.mark.parametrize("p,poly,payload", [
+        (3, "2*x^2+1", {"unit": 2, "factors": [{"poly": "x+1", "exp": 1},
+                                               {"poly": "x+2", "exp": 1}]}),
+        (3, "2*x^4+x^3+x", {"unit": 2, "factors": [
+            {"poly": "x", "exp": 1}, {"poly": "x+1", "exp": 1},
+            {"poly": "x^2+x+2", "exp": 1}]}),
+        (5, "3*x^3+x", {"unit": 3, "factors": [
+            {"poly": "x", "exp": 1}, {"poly": "x^2+2", "exp": 1}]}),
+        (5, "x^2+4", {"unit": 1, "factors": [{"poly": "x+1", "exp": 1},
+                                             {"poly": "x+4", "exp": 1}]}),
+    ], ids=["F3-split", "F3-mixed", "F5-unit-3", "F5-monic"])
+    def test_factor_csv_rows_rebuild_the_input(self, capsys, p, poly,
+                                               payload):
+        argv = ("factor", "--p", str(p), "--poly", poly)
+        assert run_json(capsys, *argv) == (0, payload)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert header == ["poly", "exp"]
+        spec = FieldSpec(p)
+        rebuilt = spec.constant(1)
+        for part, exp in rows:
+            rebuilt = rebuilt * parse_poly(spec, part) ** int(exp)
+        assert rebuilt == parse_poly(spec, poly)
+        # the unit row appears exactly when the unit is not 1
+        assert (rows[0] == [str(payload["unit"]), "1"]) == (
+            payload["unit"] != 1)
+
     def test_signature(self, capsys):
         code, payload = run_json(
             capsys, "signature", "--p", "2", "--poly", "x^3+x^2")
@@ -261,6 +289,28 @@ class TestVerifyCommand:
             "--budget-degree", "3", "--format", "text")
         assert code == 0
         assert out.count("[PASS]") == 4
+
+    def test_csv_format(self, capsys):
+        _, payload = run_json(capsys, "verify", "all", "--p", "2")
+        code, out, _ = run(capsys, "verify", "all", "--p", "2",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) == 31 and rows[0] == ["name", "ok", "detail"]
+        assert rows[1:] == [[c["name"], str(c["ok"]), c["detail"]]
+                            for c in payload["checks"]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_failed_check_exits_one_in_every_format(self, capsys,
+                                                    monkeypatch, fmt):
+        from fqphi import verify
+
+        monkeypatch.setattr(verify, "run_suite", lambda name, budgets: [
+            verify.CheckResult("a", True, "fine"),
+            verify.CheckResult("b", False, "broken")])
+        code, out, _ = run(capsys, "verify", "lemmas", "--p", "2",
+                           "--format", fmt)
+        assert code == 1 and "broken" in out
 
     @pytest.mark.parametrize("flag", ["--budget-degree", "--budget-n",
                                       "--budget-y"])

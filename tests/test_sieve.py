@@ -148,29 +148,69 @@ def test_wrong_irreducible_count_raises(monkeypatch):
         phi_table(FieldSpec(2), 4)
 
 
-def test_monic_reached_twice_raises(monkeypatch):
-    # a multiplication that returns x**deg for every product: the second
-    # product of a degree lands on a monic the sieve has already reached
-    def collapsing_mul(value, p, width):
-        return (0,) * (len(kron_unpack(value, p, width)) - 1) + (1,)
+# A product's position is decoded by preimage._lanes_position over a prime
+# field with one-byte lanes (every prime field of the verify grids), and
+# through kron_unpack with wider lanes (F_13 to degree 2 has two-byte lanes).
+# The fault tests inject at both seams.
+REAL_LANES = preimage._lanes_position
 
-    monkeypatch.setattr(preimage, "kron_unpack", collapsing_mul)
+
+def collapse_lanes(value, d, q, digits):
+    # every monic product lands on x**d, position 0
+    return min(REAL_LANES(value, d, q, digits), 0)
+
+
+def collapse_codes(value, p, width):
+    return (0,) * (len(kron_unpack(value, p, width)) - 1) + (1,)
+
+
+def test_monic_reached_twice_raises(monkeypatch):
+    # a decoding that puts every product at x**deg: the second product of
+    # a degree lands on a monic the sieve has already reached
+    monkeypatch.setattr(preimage, "_lanes_position", collapse_lanes)
     with pytest.raises(CounterexampleError, match="twice"):
         phi_table(FieldSpec(2), 3)
+
+
+@pytest.mark.parametrize("field,seam,collapse", [
+    ((3, 1), "_lanes_position", collapse_lanes),
+    ((5, 1), "_lanes_position", collapse_lanes),
+    ((13, 1), "kron_unpack", collapse_codes),
+], ids=["F3-lanes", "F5-lanes", "F13-kron_unpack"])
+def test_monic_reached_twice_raises_on_each_seam(monkeypatch, field, seam,
+                                                 collapse):
+    monkeypatch.setattr(preimage, seam, collapse)
+    with pytest.raises(CounterexampleError, match="twice"):
+        phi_table(FieldSpec(*field), 2)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda value, d: value + (1 << 8 * (d + 1)),  # one lane too long
+    lambda value, d: value + (1 << 8 * d),        # top lane 2: not monic
+    lambda value, d: value - (1 << 8 * d),        # top lane 0: degree d - 1
+])
+def test_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
+    def broken(value, d, q, digits):
+        return REAL_LANES(wrong(value, d), d, q, digits)
+
+    monkeypatch.setattr(preimage, "_lanes_position", broken)
+    with pytest.raises(CounterexampleError,
+                       match=r"\(x\)\*\(x\) is not a monic of degree 2"):
+        phi_table(FieldSpec(3), 2)
 
 
 @pytest.mark.parametrize("wrong", [
     lambda codes: codes + (1,),          # one degree too many
     lambda codes: codes[:-1] + (2,),     # not monic
-])
-def test_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
+], ids=["degree-too-high", "not-monic"])
+def test_unpacked_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
     def broken_mul(value, p, width):
         return wrong(tuple(kron_unpack(value, p, width)))
 
     monkeypatch.setattr(preimage, "kron_unpack", broken_mul)
     with pytest.raises(CounterexampleError,
                        match=r"\(x\)\*\(x\) is not a monic of degree 2"):
-        phi_table(FieldSpec(3), 2)
+        phi_table(FieldSpec(13), 2)
 
 
 def test_extension_field_products_checked(monkeypatch):
