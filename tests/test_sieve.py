@@ -79,7 +79,6 @@ def test_tables_come_from_the_sieve(field, max_deg):
         entry.sigma for entry in sieve(spec, max_deg)}
 
 
-
 def _codes(f):
     return None if f is None else f.coeffs
 
@@ -128,6 +127,7 @@ def test_sieve_output_is_pinned(field, max_deg, entries_digest,
     assert entries.hexdigest() == entries_digest
     assert tables.hexdigest() == tables_digest
 
+
 def test_phi_table_lists_in_enumeration_order():
     spec = FieldSpec(3)
     table = phi_table(spec, 6)
@@ -156,8 +156,10 @@ REAL_LANES = preimage._lanes_position
 
 
 def collapse_lanes(value, d, q, digits):
-    # every monic product lands on x**d, position 0
-    return min(REAL_LANES(value, d, q, digits), 0)
+    # every monic product lands on the last monic of its degree, whose
+    # coefficients below x**d are all q - 1
+    pos = REAL_LANES(value, d, q, digits)
+    return pos if pos < 0 else q**d - 1
 
 
 def collapse_codes(value, p, width):
@@ -165,22 +167,23 @@ def collapse_codes(value, p, width):
 
 
 def test_monic_reached_twice_raises(monkeypatch):
-    # a decoding that puts every product at x**deg: the second product of
-    # a degree lands on a monic the sieve has already reached
+    # a decoding that puts every product of a degree at one monic: the
+    # second product lands on a monic the sieve has already reached
     monkeypatch.setattr(preimage, "_lanes_position", collapse_lanes)
-    with pytest.raises(CounterexampleError, match="twice"):
+    with pytest.raises(CounterexampleError,
+                       match=r"reached x\^2\+x\+1 twice"):
         phi_table(FieldSpec(2), 3)
 
 
-@pytest.mark.parametrize("field,seam,collapse", [
-    ((3, 1), "_lanes_position", collapse_lanes),
-    ((5, 1), "_lanes_position", collapse_lanes),
-    ((13, 1), "kron_unpack", collapse_codes),
+@pytest.mark.parametrize("field,seam,collapse,monic", [
+    ((3, 1), "_lanes_position", collapse_lanes, r"x\^2\+2\*x\+2"),
+    ((5, 1), "_lanes_position", collapse_lanes, r"x\^2\+4\*x\+4"),
+    ((13, 1), "kron_unpack", collapse_codes, r"x\^2"),
 ], ids=["F3-lanes", "F5-lanes", "F13-kron_unpack"])
 def test_monic_reached_twice_raises_on_each_seam(monkeypatch, field, seam,
-                                                 collapse):
+                                                 collapse, monic):
     monkeypatch.setattr(preimage, seam, collapse)
-    with pytest.raises(CounterexampleError, match="twice"):
+    with pytest.raises(CounterexampleError, match=rf"reached {monic} twice"):
         phi_table(FieldSpec(*field), 2)
 
 
