@@ -83,36 +83,46 @@ def _codes(f):
     return None if f is None else f.coeffs
 
 
-@pytest.mark.parametrize("field,max_deg,entries_digest,tables_digest", [
+@pytest.mark.parametrize(
+    "field,max_deg,entries_digest,tables_digest,counts_digest", [
     ((5, 1), 6,
      "2a0c12fb3ef86f0677a09645f590314e40e9daeccafffb9fa8b4d1cde572183f",
-     "40f55630110ccae8472183bc01404ca351fcc8202b33cd61d939f2acd51cacb2"),
+     "40f55630110ccae8472183bc01404ca351fcc8202b33cd61d939f2acd51cacb2",
+     "1ca4f981439088f49d1928346e0164930ce50afc3efabc8e53da69fb7344d63a"),
     ((3, 1), 7,
      "4adb1ce728b16f4b49914696873c84900d33f8ae059a9bde8572d8ae260e0dfc",
-     "284578b38d8b1e9178542427203bdd59de9a007aa2ee5b62d073932a2abab052"),
+     "284578b38d8b1e9178542427203bdd59de9a007aa2ee5b62d073932a2abab052",
+     "36817076bc18ac540858620a0deb4cca5194dd15dc04ffb958a55588e9d4164f"),
     ((2, 1), 12,
      "cd7136f036711b19033077e5376407c520c572fa445084cf4dd441a60929582c",
-     "57e16fe468ac4ea848743f8c0cfd21cb751e710fde8ff998b379e7c8f5c01a14"),
+     "57e16fe468ac4ea848743f8c0cfd21cb751e710fde8ff998b379e7c8f5c01a14",
+     "ee302c352253c64105f411dfb9c6bf5b09817163b9645dd72c117b99844c2225"),
     ((2, 2), 5,
      "3694eb4f0b3b3ed4d033e8969fceb312ea29f02dd50cdac82b2bd573beb25fef",
-     "5d2b3be855991fac11154aacf08d9b8c4768b1f906c0a00a80185c6da51ffefa"),
+     "5d2b3be855991fac11154aacf08d9b8c4768b1f906c0a00a80185c6da51ffefa",
+     "74da752174601dc9835d1579c2e9ddd14c3c258933f58f3b6b72f9a521e9ef26"),
     ((3, 2), 3,
      "c57b53f618abc6f2bf7ad1f40a9ba1184bb06a627e3695160e7fc02697276829",
-     "c1a2b5840c2554bd6d6a43f2af230bb07059685570917a017374adba7520e835"),
+     "c1a2b5840c2554bd6d6a43f2af230bb07059685570917a017374adba7520e835",
+     "f1ca102579584a8745c37d1fc8fb0e35263dc219a233bc44d140666945186436"),
     ((11, 1), 3,
      "fe3c5d291b16c77c255f874aaa24fe8a05bf9cd7b406c02d7ccb85edfacdd8d4",
-     "6d9df74790cd92adf19ae6588d7722bd016ecfc17707063efb70ceaeb0e21b42"),
+     "6d9df74790cd92adf19ae6588d7722bd016ecfc17707063efb70ceaeb0e21b42",
+     "3ad0b9d817cd995e78486fe66db9ae05c970b25b8bb1709065b17c5b66981f5d"),
     ((13, 1), 3,
      "539a18f72fff86a6c4d6932454e44ce602f4f63ff2418c31e62123188c43c3e4",
-     "5e5ac43b5d7a63a1f8bb530d7dbfcd0cb315792cbf9b1374cbe81bdbdf4638c5"),
+     "5e5ac43b5d7a63a1f8bb530d7dbfcd0cb315792cbf9b1374cbe81bdbdf4638c5",
+     "e4110a9af07e057a3cf24acbf7757d4c3eb0f9489e4d08cf7093d768d9f8dfa6"),
 ], ids=["F5-6", "F3-7", "F2-12", "F4-5", "F9-3", "F11-3", "F13-3"])
 def test_sieve_output_is_pinned(field, max_deg, entries_digest,
-                                tables_digest):
+                                tables_digest, counts_digest):
     # Every SieveEntry in yield order (poly, smallest and cofactor codes,
     # sigma, phi), then phi_table in insertion order and the sorted
-    # sigma_values, as two sha256 digests per build.  The first three
-    # builds are the erdos suite's; the digests were taken from the sieve
-    # that kept one state tuple per monic.
+    # sigma_values, as two sha256 digests per build, and the number of
+    # monics per phi value, sorted, as a third.  The first three builds
+    # are the erdos suite's; the first two digests were taken from the
+    # sieve that kept one state tuple per monic, the third from the
+    # lengths of phi_table's lists.
     spec = FieldSpec(*field)
     entries = hashlib.sha256()
     for e in sieve(spec, max_deg):
@@ -124,8 +134,11 @@ def test_sieve_output_is_pinned(field, max_deg, entries_digest,
         tables.update(repr((value, [f.coeffs for f in polys])).encode()
                       + b"\n")
     tables.update(repr(sorted(sigma_values(spec, max_deg))).encode())
+    counts = sorted((value, len(polys))
+                    for value, polys in phi_table(spec, max_deg).items())
     assert entries.hexdigest() == entries_digest
     assert tables.hexdigest() == tables_digest
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == counts_digest
 
 
 def test_phi_table_lists_in_enumeration_order():
