@@ -42,6 +42,7 @@ from .preimage import (
     count_profile,
     degree_bound,
     min_phi,
+    phi_counts,
     phi_table,
     preimage_count,
     preimage_list,
@@ -90,6 +91,7 @@ __all__ = [
     "min_phi",
     "parse_poly",
     "phi",
+    "phi_counts",
     "phi_from_signature",
     "phi_table",
     "phi_values_up_to",

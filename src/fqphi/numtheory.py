@@ -203,22 +203,6 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def primitive_prime_divisors(a: int, n: int) -> set[int]:
-    """Primes dividing a**n - 1 but no earlier a**k - 1 (1 <= k < n)."""
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    value = a**n - 1
-    if value == 1:
-        return set()
-    return {
-        p
-        for p in factor_int(value)
-        if all(pow(a, k, p) != 1 for k in range(1, n))
-    }
-
-
 def zsigmondy_has_primitive(a: int, b: int, n: int) -> bool:
     """Whether a**n - b**n has a prime divisor missing from all earlier terms.
 

@@ -33,6 +33,7 @@ one of them filled, about 1.2 MB.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
@@ -362,16 +363,25 @@ def _codes_position(codes, d: int, q: int) -> int:
     return pos
 
 
+def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
+    """The monic of degree d at this position in enumeration order: the
+    base-q digits of the position, most significant first, are its
+    coefficients from the constant term up."""
+    q = spec.q
+    return _mk(spec, tuple(pos // q**(d - 1 - j) % q for j in range(d))
+               + (1,))
+
+
 def _sieve_levels(spec: FieldSpec, max_deg: int):
     """The sieve of ``sieve``, one degree d = 1..max_deg at a time, as
-    ``(polys, irreducibles, smallest, sigma, phi, cofactor)``.
+    flat lists ``(smallest, sigma, phi, cofactor)`` indexed by a monic's
+    position in enumeration order: the index of its smallest prime factor
+    P, sigma, phi, and the position of f / P among the monics of degree
+    d - deg P (-1 for an irreducible).
 
-    ``polys`` are the monics of degree d in enumeration order (a list below
-    max_deg, an iterator at max_deg), and the other lists are indexed like
-    them: the index of the smallest prime factor, sigma, phi and the
-    cofactor (None for an irreducible).  ``irreducibles`` lists the
-    irreducibles by index up to degree max_deg // 2, the only ones that
-    can be the smallest factor of a reducible monic.
+    Over a prime field every monic is a packed integer and no ``Poly`` is
+    built; over an extension field the monics below max_deg are ``Poly``
+    objects, which ``Poly.__mul__`` multiplies.
     """
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
@@ -382,17 +392,17 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     digits = (bytes(_DIGITS[v % p] for v in range(256))
               if packed and width == 1 else None)
     shift = 8 * width
-    # The irreducibles that can be a smallest factor P, and beside them the
-    # same packed over a prime field; those of degree e have indices
+    # The irreducibles that can be a smallest factor P, as multiplicands
+    # and as positions in their degree; those of degree e have indices
     # starts[e]..starts[e+1]-1.
-    irreducibles: list[Poly] = []
     factors: list = []
+    places: list[int] = []
     starts = [0, 0]
-    # Per degree below max_deg: its monics, packed once over a prime field
-    # (else the Polys themselves), and the smallest factor's index, the
-    # prime power |P|**e exactly dividing, sigma and phi of each.
+    # Per degree below max_deg: its monics as multiplicands (packed over a
+    # prime field), and the smallest factor's index, the prime power
+    # |P|**e exactly dividing, sigma and phi of each.
     levels: list[tuple | None] = [None]
-    packs = [1]  # the monic of degree 0
+    monics = [1]  # the monic of degree 0, packed
     for d in range(1, max_deg + 1):
         size = q**d
         # Every monic starts as an irreducible; a product overwrites it.
@@ -400,41 +410,43 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         power = [size] * size
         sigmas = [size + 1] * size
         phis = [size - 1] * size
-        cofactors: list[Poly | None] = [None] * size
-        if packed and d < max_deg:  # the top degree is never a cofactor
-            packs = [c + (t << shift) for c in range(q) for t in packs]
+        cofactors = [-1] * size
+        if d < max_deg:  # the top degree is never a cofactor
+            if packed:
+                monics = [c + (t << shift) for c in range(q) for t in monics]
+            else:
+                monics = [_mk(spec, tail + (1,))
+                          for tail in product(range(q), repeat=d)]
         for e in range(1, d // 2 + 1):
             lo, hi = starts[e], starts[e + 1]
             size_p = q**e
-            g_polys, g_packed, g_small, g_power, g_sigma, g_phi = levels[d - e]
+            g_monics, g_small, g_power, g_sigma, g_phi = levels[d - e]
             for k, gi in enumerate(g_small):
                 if gi < lo:
                     continue
-                g = g_polys[k]
-                packed_g = g_packed[k]
+                g = g_monics[k]
                 # P below g's smallest factor: the same values for every P
                 coprime = (size_p, g_sigma[k] * (size_p + 1),
                            g_phi[k] * (size_p - 1))
                 for i in range(lo, min(hi, gi + 1)):
                     if digits is not None:
-                        pos = _lanes_position(factors[i] * packed_g, d, q,
-                                              digits)
+                        pos = _lanes_position(factors[i] * g, d, q, digits)
                     elif packed:
                         pos = _codes_position(kron_unpack(
-                            factors[i] * packed_g, p, width), d, q)
+                            factors[i] * g, p, width), d, q)
                     else:
                         pos = _codes_position((factors[i] * g).coeffs, d, q)
                     if pos < 0:
                         raise CounterexampleError(
-                            f"sieve over F_{q}: ({irreducibles[i]})*({g}) is "
-                            f"not a monic of degree {d}")
+                            f"sieve over F_{q}: ({_monic(spec, e, places[i])})"
+                            f"*({_monic(spec, d - e, k)}) is not a monic of "
+                            f"degree {d}")
                     if smallest[pos] >= 0:
-                        f = spec.poly([pos // q**(d - 1 - j) % q
-                                       for j in range(d)] + [1])
                         raise CounterexampleError(
-                            f"sieve over F_{q} reached {f} twice")
+                            f"sieve over F_{q} reached {_monic(spec, d, pos)} "
+                            f"twice")
                     smallest[pos] = i
-                    cofactors[pos] = g
+                    cofactors[pos] = k
                     if gi == i:  # P already divides g: one more power
                         pp = g_power[k] * size_p
                         power[pos] = pp
@@ -445,14 +457,6 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
                         power[pos], sigmas[pos], phis[pos] = coprime
             if d == max_deg or 2 * e == d:
                 levels[d - e] = None  # no higher degree has this cofactor
-        # Built after the products, when the levels freed above are gone;
-        # the top degree's only as they are read, since no product needs them.
-        polys = (_mk(spec, tail + (1,))
-                 for tail in product(range(q), repeat=d))
-        if d < max_deg:
-            polys = list(polys)
-            if not packed:
-                packs = polys
         # A monic that no product reaches is irreducible.
         unreached = [pos for pos, i in enumerate(smallest) if i < 0]
         if len(unreached) != spec.pi(d):
@@ -464,11 +468,11 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
             smallest[pos] = index
         starts.append(first + len(unreached))
         if 2 * d <= max_deg:
-            irreducibles += [polys[pos] for pos in unreached]
-            factors += [packs[pos] for pos in unreached]
+            factors += [monics[pos] for pos in unreached]
+            places += unreached
         if d < max_deg:
-            levels.append((polys, packs, smallest, power, sigmas, phis))
-        yield polys, irreducibles, smallest, sigmas, phis, cofactors
+            levels.append((monics, smallest, power, sigmas, phis))
+        yield smallest, sigmas, phis, cofactors
 
 
 def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
@@ -480,9 +484,10 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     smallest prime factor: P has degree <= d/2 and an index no larger than
     that of g's smallest factor.  A monic that no product reaches is
     irreducible.  Every monic carries the index of its smallest factor P,
-    |P|**e for the exact power P**e dividing it, sigma and phi, in flat
-    lists per degree indexed by position.  With P**e exactly dividing g
-    (e = 0 when P does not divide g), the recurrences
+    |P|**e for the exact power P**e dividing it, sigma, phi and the
+    position of g, in flat lists per degree indexed by position.  With
+    P**e exactly dividing g (e = 0 when P does not divide g), the
+    recurrences
 
         phi(P g) = phi(g) |P|        if P | g, else phi(g) (|P| - 1)
         sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
@@ -497,49 +502,79 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     field it is ``Poly.__mul__``.  Three invariants are checked as each
     degree is built, and raise CounterexampleError: every product is a
     monic of degree d, no monic is reached twice, and degree d has exactly
-    pi_q(d) irreducibles.
+    pi_q(d) irreducibles.  The ``Poly`` objects of the entries are built
+    here, for output only.
     """
-    for polys, irreducibles, smallest, sigmas, phis, cofactors in (
-            _sieve_levels(spec, max_deg)):
-        for f, i, sig, phi, g in zip(polys, smallest, sigmas, phis,
+    q = spec.q
+    polys_at: list[list[Poly]] = [[]]  # per degree below max_deg
+    irreducibles: list[Poly] = []
+    for d, (smallest, sigmas, phis, cofactors) in enumerate(
+            _sieve_levels(spec, max_deg), 1):
+        polys = (_mk(spec, tail + (1,))
+                 for tail in product(range(q), repeat=d))
+        if d < max_deg:  # the top degree's only as they are read
+            polys = list(polys)
+            polys_at.append(polys)
+        if 2 * d <= max_deg:
+            irreducibles += [polys[pos] for pos, k in enumerate(cofactors)
+                             if k < 0]
+        for f, i, sig, phi, k in zip(polys, smallest, sigmas, phis,
                                      cofactors):
-            yield SieveEntry(f, f if g is None else irreducibles[i], g, sig,
-                             phi)
+            if k < 0:
+                yield SieveEntry(f, f, None, sig, phi)
+            else:
+                small = irreducibles[i]
+                yield SieveEntry(f, small, polys_at[d - small.degree][k],
+                                 sig, phi)
 
 
 # One build is cached: the erdos suite reads phi and sigma from the same
-# build, and a larger cache only raises peak memory for the tables it keeps.
+# build, and a larger cache only raises peak memory for the values it keeps.
 @lru_cache(maxsize=1)
-def _sieve_tables(spec: FieldSpec, max_deg: int):
-    table: dict[int, list[Poly]] = {}
+def _sieve_values(spec: FieldSpec, max_deg: int):
+    phis: list[list[int]] = []
+    counts: Counter[int] = Counter()
     sigmas: set[int] = set()
-    for polys, _, _, sigma, phi, _ in _sieve_levels(spec, max_deg):
-        for f, value in zip(polys, phi):
-            table.setdefault(value, []).append(f)
+    for _, sigma, phi, _ in _sieve_levels(spec, max_deg):
+        phis.append(phi)
+        counts.update(phi)
         sigmas.update(sigma)
-    return table, frozenset(sigmas)
+    return phis, counts, frozenset(sigmas)
+
+
+def phi_counts(spec: FieldSpec, max_deg: int) -> dict[int, int]:
+    """The number of monic polynomials of degree 1..max_deg with each phi
+    value, from the sieve without building a ``Poly``.
+
+    The last build is cached with ``sigma_values``; treat the result as
+    read-only.  Values are in order of their first monic in enumeration
+    order.
+    """
+    return _sieve_values(spec, max_deg)[1]
+
+
+def sigma_values(spec: FieldSpec, max_deg: int) -> frozenset[int]:
+    """sigma(g) over every monic g of degree 1..max_deg, from the same
+    sieve build (and cache) as phi_counts."""
+    return _sieve_values(spec, max_deg)[2]
 
 
 def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """Bucket every monic polynomial of degree 1..max_deg by exact phi value.
 
-    Built by ``sieve``, never by factoring.  The last build is cached;
-    treat the result as read-only.  Lists are in enumeration order, i.e.
-    sorted by (degree, coefficient codes).
+    Built from the entries of ``sieve``, never by factoring.  Lists are in
+    enumeration order, i.e. sorted by (degree, coefficient codes).
     """
-    return _sieve_tables(spec, max_deg)[0]
-
-
-def sigma_values(spec: FieldSpec, max_deg: int) -> frozenset[int]:
-    """sigma(g) over every monic g of degree 1..max_deg, from the same
-    sieve build (and cache) as phi_table."""
-    return _sieve_tables(spec, max_deg)[1]
+    table: dict[int, list[Poly]] = {}
+    for entry in sieve(spec, max_deg):
+        table.setdefault(entry.phi, []).append(entry.poly)
+    return table
 
 
 #: Most monics ``preimage_list`` enumerates.  At the limit, F_2 to degree
-#: 17 (262,142 monics), the sieve takes 0.65-1.0 s and 92 MB peak RSS on a
-#: shared 2-core x86-64 host with Python 3.11; no other field's build under
-#: the limit has as many monics.
+#: 17 (262,142 monics), the listing takes 0.3-0.6 s and 46 MB peak RSS on
+#: a shared 2-core x86-64 host with Python 3.11; no other field's build
+#: under the limit has as many monics.
 LIST_LIMIT = 2**18
 
 
@@ -547,11 +582,13 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
     """Every monic f with phi(f) = n, by exhaustive enumeration up to the
     degree bound; sorted by (degree, coefficient codes).
 
-    Raises ValueError when that means more than ``LIST_LIMIT`` monics,
-    before computing the bound; both rest on the same knapsack.  Let D be
-    the first degree at which the monics of degree 1..D pass the limit.
-    The bound is the last degree with min_phi <= n, and min_phi never
-    decreases, so the bound reaches D exactly when min_phi(D) <= n.
+    The sieve's phi values are read by position, and a ``Poly`` is built
+    only where phi equals n.  Raises ValueError when that means more than
+    ``LIST_LIMIT`` monics, before computing the bound; both rest on the
+    same knapsack.  Let D be the first degree at which the monics of
+    degree 1..D pass the limit.  The bound is the last degree with
+    min_phi <= n, and min_phi never decreases, so the bound reaches D
+    exactly when min_phi(D) <= n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -564,7 +601,9 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
             f"listing the preimages of {n} over F_{spec.q} means enumerating "
             f"at least the {monics} monics up to degree {limit_deg}; the "
             f"limit is {LIST_LIMIT}")
-    return list(phi_table(spec, degree_bound(n, spec)).get(n, ()))
+    phis = _sieve_values(spec, degree_bound(n, spec))[0]
+    return [_monic(spec, d, pos) for d, phi in enumerate(phis, 1)
+            for pos, value in enumerate(phi) if value == n]
 
 
 # -- classification -----------------------------------------------------------

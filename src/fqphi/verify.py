@@ -4,8 +4,10 @@ against an independent brute-force computation at full desk scale.
 The brute-force side of the collisions, preimage, erdos and density suites
 is ``preimage.sieve``, which constructs every monic from its prime factors
 and reads phi and sigma off the construction, without calling ``factor``.
-The preimage, erdos and density suites use it through
-``preimage.phi_table`` and ``preimage.sigma_values``.  The collision suite
+The preimage, erdos and density suites read only values: the number of
+monics per phi value from ``preimage.phi_counts`` and the sigma values
+from ``preimage.sigma_values``, one build of the sieve that holds
+integers and makes no ``Poly``.  The collision suite
 reads each monic's signature off the same construction, takes phi from the
 sieve's recurrence (not from the signature formula), and compares the
 distinct (signature, phi) classes, weighting each class pair by the number
@@ -69,8 +71,8 @@ def _spec(q: int) -> FieldSpec:
 
 
 def _oracle_phi_values(spec: FieldSpec, y: int) -> set[int]:
-    table = preimage.phi_table(spec, preimage.degree_bound(y, spec))
-    return {value for value in table if value <= y}
+    counts = preimage.phi_counts(spec, preimage.degree_bound(y, spec))
+    return {value for value in counts if value <= y}
 
 
 def _sieve_signatures(spec: FieldSpec, max_deg: int):
@@ -131,11 +133,11 @@ def suite_preimage(budgets: Budgets = Budgets()) -> list[CheckResult]:
     for q, default_n in ((2, 200), (3, 500), (5, 1000)):
         spec = _spec(q)
         n_max = budgets.cap("n", default_n)
-        table = preimage.phi_table(
+        counts = preimage.phi_counts(
             spec, preimage.degree_bound(n_max, spec))
         bad = [
             n for n in range(1, n_max + 1)
-            if preimage.preimage_count(n, spec) != len(table.get(n, ()))
+            if preimage.preimage_count(n, spec) != counts.get(n, 0)
         ]
         results.append(CheckResult(
             f"count formula vs oracle q={q} n<={n_max}",
@@ -224,7 +226,7 @@ def suite_erdos(budgets: Budgets = Budgets()) -> list[CheckResult]:
         # floor(log_q y), and sigma(g) >= |g| puts every sigma value <= y
         # at a degree <= floor(log_q y).
         max_deg = preimage.degree_bound(y, spec)
-        phi_values = preimage.phi_table(spec, max_deg)
+        phi_values = preimage.phi_counts(spec, max_deg)
         sigma_values = preimage.sigma_values(spec, max_deg)
         both = sorted(v for v in phi_values if v <= y and v in sigma_values)
         claimed = erdos.intersection_up_to(y, spec)

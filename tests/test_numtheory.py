@@ -146,23 +146,6 @@ class TestIsPrime:
         assert not nt.is_prime(2**128 + 1)
 
 
-class TestPrimitivePrimeDivisors:
-    def test_exception_values(self):
-        assert nt.primitive_prime_divisors(2, 6) == set()
-        assert nt.primitive_prime_divisors(2, 2) == {3}
-        assert nt.primitive_prime_divisors(2, 4) == {5}
-
-    def test_n1(self):
-        assert nt.primitive_prime_divisors(2, 1) == set()
-        assert nt.primitive_prime_divisors(4, 1) == {3}
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            nt.primitive_prime_divisors(1, 3)
-        with pytest.raises(ValueError):
-            nt.primitive_prime_divisors(2, 0)
-
-
 class TestZsigmondy:
     def test_examples(self):
         assert nt.zsigmondy_has_primitive(2, 1, 6) is False
@@ -172,12 +155,6 @@ class TestZsigmondy:
     def test_rejects_common_factor(self):
         with pytest.raises(ValueError):
             nt.zsigmondy_has_primitive(6, 2, 3)
-
-    def test_agrees_with_primitive_set_small_grid(self):
-        for a in range(2, 13):
-            for n in range(2, 21):
-                expected = bool(nt.primitive_prime_divisors(a, n))
-                assert nt.zsigmondy_has_primitive(a, 1, n) == expected
 
     def test_general_b(self):
         # 3^2 - 2^2 = 5 is new; 5^2 - 3^2 = 16 shares all primes with 5 - 3

@@ -31,13 +31,46 @@ from fqphi.numtheory import (
     compositions,
     factor_int,
     ilog,
-    primitive_prime_divisors,
     zsigmondy_has_primitive,
 )
 
 F7 = FieldSpec(7)
 F8 = FieldSpec(2, 3)
 F9 = FieldSpec(3, 2)
+
+
+def primitive_prime_divisors(a: int, n: int) -> set[int]:
+    """Primes dividing a**n - 1 but no earlier a**k - 1 (1 <= k < n), read
+    off the factorization: the reference for preimage._primitive_part."""
+    if a < 2:
+        raise ValueError(f"need a >= 2, got {a}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    value = a**n - 1
+    if value == 1:
+        return set()
+    return {
+        p
+        for p in factor_int(value)
+        if all(pow(a, k, p) != 1 for k in range(1, n))
+    }
+
+
+class TestPrimitivePrimeDivisors:
+    def test_exception_values(self):
+        assert primitive_prime_divisors(2, 6) == set()
+        assert primitive_prime_divisors(2, 2) == {3}
+        assert primitive_prime_divisors(2, 4) == {5}
+
+    def test_n1(self):
+        assert primitive_prime_divisors(2, 1) == set()
+        assert primitive_prime_divisors(4, 1) == {3}
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            primitive_prime_divisors(1, 3)
+        with pytest.raises(ValueError):
+            primitive_prime_divisors(2, 0)
 
 
 class TestRepresent:
@@ -232,6 +265,7 @@ class TestForcedSearch:
                 assert value % u == 0 and gcd(u, value // u) == 1, (a, d)
                 primes = set(factor_int(u)) if u > 1 else set()
                 assert primes == primitive_prime_divisors(a, d), (a, d)
+                # so zsigmondy_has_primitive is bool(primitive_prime_divisors)
                 if d >= 2:
                     assert (u == 1) == (
                         not zsigmondy_has_primitive(a, 1, d)), (a, d)
@@ -361,6 +395,22 @@ class TestPreimageList:
             assert polys == sorted(polys)
             assert all(phi(f).value == n for f in polys)
             assert len(polys) == preimage_count(n, F3)
+
+    def test_every_list_to_300_matches_the_sieve(self, F2, F3):
+        # The n share a degree bound in runs, so one sieve serves each run
+        # and preimage_list reads one cached build per run.
+        for spec in (F2, F3):
+            runs: dict[int, list[int]] = {}
+            for n in range(1, 301):
+                runs.setdefault(degree_bound(n, spec), []).append(n)
+            for bound, ns in runs.items():
+                expected: dict[int, list] = {}
+                for entry in preimage.sieve(spec, bound):
+                    expected.setdefault(entry.phi, []).append(entry.poly)
+                for n in ns:
+                    polys = preimage_list(n, spec)
+                    assert polys == expected.get(n, []), (spec.q, n)
+                    assert len(polys) == preimage_count(n, spec), (spec.q, n)
 
     def test_enumeration_limit(self, F2, monkeypatch):
         # F_2 to degree 3 is 2 + 4 + 8 = 14 monics; degree 4 adds 16

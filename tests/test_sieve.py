@@ -2,7 +2,9 @@
 
 ``preimage.sieve`` builds every monic from its prime factors and never calls
 ``factor``; these tests keep the two independent routes honest against each
-other, and show that the sieve's own invariant checks fire.
+other, and show that the sieve's own invariant checks fire, both where the
+entries are built as ``Poly`` objects (``phi_table``) and where only the
+values are (``phi_counts``).
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from fqphi import (
     enumerate_monic,
     factor,
     phi_from_signature,
+    phi_counts,
     phi_table,
     sigma,
     sigma_values,
@@ -45,9 +48,9 @@ def sieve_factorization(entry, entries):
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    preimage._sieve_tables.cache_clear()
+    preimage._sieve_values.cache_clear()
     yield
-    preimage._sieve_tables.cache_clear()
+    preimage._sieve_values.cache_clear()
 
 
 @pytest.mark.parametrize("field,max_deg", GRIDS, ids=lambda v: str(v))
@@ -75,6 +78,8 @@ def test_tables_come_from_the_sieve(field, max_deg):
     for entry in sieve(spec, max_deg):
         expected.setdefault(entry.phi, []).append(entry.poly)
     assert phi_table(spec, max_deg) == expected
+    assert phi_counts(spec, max_deg) == {
+        value: len(polys) for value, polys in expected.items()}
     assert sigma_values(spec, max_deg) == {
         entry.sigma for entry in sieve(spec, max_deg)}
 
@@ -118,11 +123,11 @@ def test_sieve_output_is_pinned(field, max_deg, entries_digest,
                                 tables_digest, counts_digest):
     # Every SieveEntry in yield order (poly, smallest and cofactor codes,
     # sigma, phi), then phi_table in insertion order and the sorted
-    # sigma_values, as two sha256 digests per build, and the number of
-    # monics per phi value, sorted, as a third.  The first three builds
-    # are the erdos suite's; the first two digests were taken from the
-    # sieve that kept one state tuple per monic, the third from the
-    # lengths of phi_table's lists.
+    # sigma_values, as two sha256 digests per build, and phi_counts,
+    # sorted, as a third.  The first three builds are the erdos suite's;
+    # the first two digests were taken from the sieve that kept one state
+    # tuple per monic, the third from the lengths of phi_table's lists
+    # before phi_counts existed.
     spec = FieldSpec(*field)
     entries = hashlib.sha256()
     for e in sieve(spec, max_deg):
@@ -134,8 +139,7 @@ def test_sieve_output_is_pinned(field, max_deg, entries_digest,
         tables.update(repr((value, [f.coeffs for f in polys])).encode()
                       + b"\n")
     tables.update(repr(sorted(sigma_values(spec, max_deg))).encode())
-    counts = sorted((value, len(polys))
-                    for value, polys in phi_table(spec, max_deg).items())
+    counts = sorted(phi_counts(spec, max_deg).items())
     assert entries.hexdigest() == entries_digest
     assert tables.hexdigest() == tables_digest
     assert hashlib.sha256(repr(counts).encode()).hexdigest() == counts_digest
@@ -152,13 +156,20 @@ def test_phi_table_lists_in_enumeration_order():
     assert sorted(f for polys in table.values() for f in polys) == order
 
 
+# Each invariant check must fire whether the build makes Poly entries or
+# only values; the cache is cleared before every test, so phi_counts builds.
+BUILDS = (phi_table, phi_counts)
+
+
 def test_wrong_irreducible_count_raises(monkeypatch):
     true_pi = FieldSpec.pi
     monkeypatch.setattr(
         FieldSpec, "pi",
         lambda self, d: true_pi(self, d) + (d == 3))
-    with pytest.raises(CounterexampleError, match="irreducibles of degree 3"):
-        phi_table(FieldSpec(2), 4)
+    for build in BUILDS:
+        with pytest.raises(CounterexampleError,
+                           match="irreducibles of degree 3"):
+            build(FieldSpec(2), 4)
 
 
 # A product's position is decoded by preimage._lanes_position over a prime
@@ -183,9 +194,10 @@ def test_monic_reached_twice_raises(monkeypatch):
     # a decoding that puts every product of a degree at one monic: the
     # second product lands on a monic the sieve has already reached
     monkeypatch.setattr(preimage, "_lanes_position", collapse_lanes)
-    with pytest.raises(CounterexampleError,
-                       match=r"reached x\^2\+x\+1 twice"):
-        phi_table(FieldSpec(2), 3)
+    for build in BUILDS:
+        with pytest.raises(CounterexampleError,
+                           match=r"reached x\^2\+x\+1 twice"):
+            build(FieldSpec(2), 3)
 
 
 @pytest.mark.parametrize("field,seam,collapse,monic", [
@@ -196,8 +208,10 @@ def test_monic_reached_twice_raises(monkeypatch):
 def test_monic_reached_twice_raises_on_each_seam(monkeypatch, field, seam,
                                                  collapse, monic):
     monkeypatch.setattr(preimage, seam, collapse)
-    with pytest.raises(CounterexampleError, match=rf"reached {monic} twice"):
-        phi_table(FieldSpec(*field), 2)
+    for build in BUILDS:
+        with pytest.raises(CounterexampleError,
+                           match=rf"reached {monic} twice"):
+            build(FieldSpec(*field), 2)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -210,9 +224,10 @@ def test_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
         return REAL_LANES(wrong(value, d), d, q, digits)
 
     monkeypatch.setattr(preimage, "_lanes_position", broken)
-    with pytest.raises(CounterexampleError,
-                       match=r"\(x\)\*\(x\) is not a monic of degree 2"):
-        phi_table(FieldSpec(3), 2)
+    for build in BUILDS:
+        with pytest.raises(CounterexampleError,
+                           match=r"\(x\)\*\(x\) is not a monic of degree 2"):
+            build(FieldSpec(3), 2)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -224,9 +239,10 @@ def test_unpacked_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
         return wrong(tuple(kron_unpack(value, p, width)))
 
     monkeypatch.setattr(preimage, "kron_unpack", broken_mul)
-    with pytest.raises(CounterexampleError,
-                       match=r"\(x\)\*\(x\) is not a monic of degree 2"):
-        phi_table(FieldSpec(13), 2)
+    for build in BUILDS:
+        with pytest.raises(CounterexampleError,
+                           match=r"\(x\)\*\(x\) is not a monic of degree 2"):
+            build(FieldSpec(13), 2)
 
 
 def test_extension_field_products_checked(monkeypatch):
@@ -234,5 +250,7 @@ def test_extension_field_products_checked(monkeypatch):
     spec = FieldSpec(2, 2)  # before the patch: the modulus search multiplies
     monkeypatch.setattr(Poly, "__mul__",
                         lambda self, other: Poly(self.field, (0, 0, 0, 1)))
-    with pytest.raises(CounterexampleError, match="not a monic of degree 2"):
-        phi_table(spec, 2)
+    for build in BUILDS:
+        with pytest.raises(CounterexampleError,
+                           match="not a monic of degree 2"):
+            build(spec, 2)
