@@ -156,6 +156,16 @@ class TestZsigmondy:
         with pytest.raises(ValueError):
             nt.zsigmondy_has_primitive(6, 2, 3)
 
+    def test_agrees_with_primitive_set_small_grid(self):
+        # a primitive prime of a**n - 1 divides no a**k - 1 with k < n
+        for a in range(2, 7):
+            for n in range(2, 11):
+                expected = any(
+                    all(pow(a, k, p) != 1 for k in range(1, n))
+                    for p in nt.factor_int(a**n - 1)
+                )
+                assert nt.zsigmondy_has_primitive(a, 1, n) == expected
+
     def test_general_b(self):
         # 3^2 - 2^2 = 5 is new; 5^2 - 3^2 = 16 shares all primes with 5 - 3
         assert nt.zsigmondy_has_primitive(3, 2, 2) is True
