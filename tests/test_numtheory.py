@@ -158,8 +158,8 @@ class TestZsigmondy:
 
     def test_agrees_with_primitive_set_small_grid(self):
         # a primitive prime of a**n - 1 divides no a**k - 1 with k < n
-        for a in range(2, 7):
-            for n in range(2, 11):
+        for a in range(2, 13):
+            for n in range(2, 21):
                 expected = any(
                     all(pow(a, k, p) != 1 for k in range(1, n))
                     for p in nt.factor_int(a**n - 1)
