@@ -383,6 +383,9 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     built; over an extension field the monics below max_deg are ``Poly``
     objects, which ``Poly.__mul__`` multiplies.
     """
+    # Imported here, not with the module: only a sieve build needs it.
+    from array import array
+
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
     q, p = spec.q, spec.p
@@ -410,7 +413,9 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         power = [size] * size
         sigmas = [size + 1] * size
         phis = [size - 1] * size
-        cofactors = [-1] * size
+        # Machine integers: a list would keep one int object per position
+        # alive for as long as ``sieve`` reads the degree.
+        cofactors = array("l", [-1]) * size
         if d < max_deg:  # the top degree is never a cofactor
             if packed:
                 monics = [c + (t << shift) for c in range(q) for t in monics]
@@ -506,7 +511,9 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     here, for output only.
     """
     q = spec.q
-    polys_at: list[list[Poly]] = [[]]  # per degree below max_deg
+    # Per degree below max_deg, None once no higher degree has it as a
+    # cofactor: degree j is last one at degree 2j.
+    polys_at: list[list[Poly] | None] = [None]
     irreducibles: list[Poly] = []
     for d, (smallest, sigmas, phis, cofactors) in enumerate(
             _sieve_levels(spec, max_deg), 1):
@@ -526,6 +533,8 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
                 small = irreducibles[i]
                 yield SieveEntry(f, small, polys_at[d - small.degree][k],
                                  sig, phi)
+        if d % 2 == 0:
+            polys_at[d // 2] = None
 
 
 # One build is cached: the erdos suite reads phi and sigma from the same
