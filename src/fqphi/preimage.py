@@ -372,6 +372,12 @@ def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
                + (1,))
 
 
+def _polys(spec: FieldSpec, d: int) -> Iterator[Poly]:
+    """The monics of degree d as ``Poly`` objects, in enumeration order."""
+    return (_mk(spec, tail + (1,))
+            for tail in product(range(spec.q), repeat=d))
+
+
 def _sieve_levels(spec: FieldSpec, max_deg: int):
     """The sieve of ``sieve``, one degree d = 1..max_deg at a time, as
     flat lists ``(smallest, sigma, phi, cofactor)`` indexed by a monic's
@@ -510,15 +516,13 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     pi_q(d) irreducibles.  The ``Poly`` objects of the entries are built
     here, for output only.
     """
-    q = spec.q
     # Per degree below max_deg, None once no higher degree has it as a
     # cofactor: degree j is last one at degree 2j.
     polys_at: list[list[Poly] | None] = [None]
     irreducibles: list[Poly] = []
     for d, (smallest, sigmas, phis, cofactors) in enumerate(
             _sieve_levels(spec, max_deg), 1):
-        polys = (_mk(spec, tail + (1,))
-                 for tail in product(range(q), repeat=d))
+        polys = _polys(spec, d)
         if d < max_deg:  # the top degree's only as they are read
             polys = list(polys)
             polys_at.append(polys)
@@ -571,12 +575,14 @@ def sigma_values(spec: FieldSpec, max_deg: int) -> frozenset[int]:
 def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """Bucket every monic polynomial of degree 1..max_deg by exact phi value.
 
-    Built from the entries of ``sieve``, never by factoring.  Lists are in
-    enumeration order, i.e. sorted by (degree, coefficient codes).
+    Built from the phi values of the sieve, never by factoring, with a
+    ``Poly`` per monic but no ``SieveEntry``.  Lists are in enumeration
+    order, i.e. sorted by (degree, coefficient codes).
     """
     table: dict[int, list[Poly]] = {}
-    for entry in sieve(spec, max_deg):
-        table.setdefault(entry.phi, []).append(entry.poly)
+    for d, (_, _, phis, _) in enumerate(_sieve_levels(spec, max_deg), 1):
+        for f, value in zip(_polys(spec, d), phis):
+            table.setdefault(value, []).append(f)
     return table
 
 
