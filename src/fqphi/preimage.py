@@ -587,7 +587,7 @@ def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
 
 
 #: Most monics ``preimage_list`` enumerates.  At the limit, F_2 to degree
-#: 17 (262,142 monics), the listing takes 0.3-0.6 s and 46 MB peak RSS on
+#: 17 (262,142 monics), the listing takes 0.3-0.6 s and 42 MB peak RSS on
 #: a shared 2-core x86-64 host with Python 3.11; no other field's build
 #: under the limit has as many monics.
 LIST_LIMIT = 2**18
