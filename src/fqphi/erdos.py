@@ -19,10 +19,11 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Callable, NamedTuple
 
+from . import preimage
 from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly
 from .numtheory import ilog
-from .preimage import preimage_count, preimage_list, sieve
+from .preimage import preimage_count, preimage_list
 
 
 class IntersectionVerdict(NamedTuple):
@@ -176,10 +177,11 @@ def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
 def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
     """A concrete pair (f, g) with phi(f) = sigma(g) = n, if n is a member.
 
-    f comes from the preimage oracle; g from the sieve's monics of degree up
-    to log_q(n), which is exhaustive because sigma(g) >= |g|.  Both take the
-    first match in (degree, coefficient codes) order.  Raises ValueError
-    when the preimage oracle would pass its enumeration limit.
+    f comes from the preimage oracle; g from the sieve's sigma values of
+    the monics of degree up to log_q(n), which is exhaustive because
+    sigma(g) >= |g|.  Both take the first match in (degree, coefficient
+    codes) order.  Raises ValueError when the preimage oracle would pass
+    its enumeration limit.
     """
     verdict = intersection_member(n, spec)
     if not verdict.member:
@@ -189,12 +191,15 @@ def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
         raise CounterexampleError(
             f"{n} matched family {verdict.family} but has no totient preimage")
     f = preimages[0]
-    for entry in sieve(spec, ilog(n, spec.q)):
-        g = entry.poly
-        if entry.sigma < g.size():
-            raise CounterexampleError(
-                f"sigma({g}) = {entry.sigma} below |g| = {g.size()}")
-        if entry.sigma == n:
-            return f, g
+    for d, (_, sigmas, _, _) in enumerate(
+            preimage._sieve_levels(spec, ilog(n, spec.q)), 1):
+        size = spec.q**d
+        for pos, value in enumerate(sigmas):
+            if value < size:
+                raise CounterexampleError(
+                    f"sigma({preimage._monic(spec, d, pos)}) = {value} "
+                    f"below |g| = {size}")
+            if value == n:
+                return f, preimage._monic(spec, d, pos)
     raise CounterexampleError(
         f"{n} matched family {verdict.family} but has no sigma preimage")

@@ -8,9 +8,9 @@ witnesses, ``preimage_count`` turns one into the exact number of monic
 preimages, and ``preimage_list`` is the independent brute-force oracle:
 every monic polynomial up to a proven degree bound, bucketed by its
 totient, keeping those whose totient literally equals n.  The oracle never
-factors: ``sieve`` builds each monic from its prime factors by unique
-factorization and reads phi and sigma off the construction, trusting only
-polynomial multiplication.
+factors: the sieve of ``_sieve_levels`` builds each monic from its prime
+factors by unique factorization and reads phi and sigma off the
+construction, trusting only polynomial multiplication.
 
 Canonical forms per field size:
 
@@ -35,12 +35,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import product
 from math import comb, gcd, prod
 from typing import Iterator, NamedTuple
 
 from .errors import CounterexampleError
-from .gfpoly import FieldSpec, Poly, _mk, kron_unpack, kron_width
+from .gfpoly import (FieldSpec, Poly, _mk, enumerate_monic, kron_unpack,
+                     kron_width)
 from .numtheory import compositions, factor_int, ilog
 
 
@@ -372,22 +372,37 @@ def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
                + (1,))
 
 
-def _polys(spec: FieldSpec, d: int) -> Iterator[Poly]:
-    """The monics of degree d as ``Poly`` objects, in enumeration order."""
-    return (_mk(spec, tail + (1,))
-            for tail in product(range(spec.q), repeat=d))
-
-
 def _sieve_levels(spec: FieldSpec, max_deg: int):
-    """The sieve of ``sieve``, one degree d = 1..max_deg at a time, as
+    """Every monic of degree 1..max_deg, built from its prime factors by a
+    sieve over unique factorization in F_q[x], one degree d at a time as
     flat lists ``(smallest, sigma, phi, cofactor)`` indexed by a monic's
     position in enumeration order: the index of its smallest prime factor
     P, sigma, phi, and the position of f / P among the monics of degree
     d - deg P (-1 for an irreducible).
 
-    Over a prime field every monic is a packed integer and no ``Poly`` is
-    built; over an extension field the monics below max_deg are ``Poly``
-    objects, which ``Poly.__mul__`` multiplies.
+    Irreducibles are indexed in (degree, coefficient codes) order, so those
+    of degree e follow the pi_q(1) + ... + pi_q(e - 1) of lower degree.
+    Degree by degree, each reducible f is reached exactly once, as P * g
+    with P its smallest prime factor: P has degree <= d/2 and an index no
+    larger than that of g's smallest factor.  A monic that no product
+    reaches is irreducible.  With P**e exactly dividing g (e = 0 when P
+    does not divide g), the recurrences
+
+        phi(P g) = phi(g) |P|        if P | g, else phi(g) (|P| - 1)
+        sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
+
+    give the values without ``factor``, ``is_irreducible`` or any counting
+    formula; the only arithmetic trusted is polynomial multiplication.
+    Over a prime field that is the packed kernel of ``gfpoly`` with one
+    lane width for the whole build: each P and each degree's monics are
+    packed once, and a product is one integer multiply.  With one-byte
+    lanes its position is decoded in one step, the lanes read as a base-q
+    numeral; wider lanes go through ``kron_unpack``.  Over an extension
+    field the monics below max_deg are ``Poly`` objects, which
+    ``Poly.__mul__`` multiplies.  Three invariants are checked as each
+    degree is built, and raise CounterexampleError: every product is a
+    monic of degree d, no monic is reached twice, and degree d has exactly
+    pi_q(d) irreducibles.
     """
     # Imported here, not with the module: only a sieve build needs it.
     from array import array
@@ -426,8 +441,7 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
             if packed:
                 monics = [c + (t << shift) for c in range(q) for t in monics]
             else:
-                monics = [_mk(spec, tail + (1,))
-                          for tail in product(range(q), repeat=d)]
+                monics = list(enumerate_monic(spec, d))
         for e in range(1, d // 2 + 1):
             lo, hi = starts[e], starts[e + 1]
             size_p = q**e
@@ -487,58 +501,21 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
 
 
 def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
-    """Every monic of degree 1..max_deg in enumeration order, built from its
-    prime factors by a sieve over unique factorization in F_q[x].
-
-    Irreducibles are indexed in (degree, coefficient codes) order.  Degree
-    by degree, each reducible f is reached exactly once, as P * g with P its
-    smallest prime factor: P has degree <= d/2 and an index no larger than
-    that of g's smallest factor.  A monic that no product reaches is
-    irreducible.  Every monic carries the index of its smallest factor P,
-    |P|**e for the exact power P**e dividing it, sigma, phi and the
-    position of g, in flat lists per degree indexed by position.  With
-    P**e exactly dividing g (e = 0 when P does not divide g), the
-    recurrences
-
-        phi(P g) = phi(g) |P|        if P | g, else phi(g) (|P| - 1)
-        sigma(P g) = sigma(g) (|P|**(e+2) - 1) / (|P|**(e+1) - 1)
-
-    give the values without ``factor``, ``is_irreducible`` or any counting
-    formula; the only arithmetic trusted is polynomial multiplication.
-    Over a prime field that is the packed kernel of ``gfpoly`` with one
-    lane width for the whole build: each P and each degree's monics are
-    packed once, and a product is one integer multiply.  With one-byte
-    lanes its position is decoded in one step, the lanes read as a base-q
-    numeral; wider lanes go through ``kron_unpack``.  Over an extension
-    field it is ``Poly.__mul__``.  Three invariants are checked as each
-    degree is built, and raise CounterexampleError: every product is a
-    monic of degree d, no monic is reached twice, and degree d has exactly
-    pi_q(d) irreducibles.  The ``Poly`` objects of the entries are built
-    here, for output only.
-    """
-    # Per degree below max_deg, None once no higher degree has it as a
-    # cofactor: degree j is last one at degree 2j.
-    polys_at: list[list[Poly] | None] = [None]
+    """Every monic of degree 1..max_deg in enumeration order, with its
+    smallest prime factor, cofactor, sigma and phi: the build of
+    ``_sieve_levels`` with its positions decoded to ``Poly`` objects."""
     irreducibles: list[Poly] = []
     for d, (smallest, sigmas, phis, cofactors) in enumerate(
             _sieve_levels(spec, max_deg), 1):
-        polys = _polys(spec, d)
-        if d < max_deg:  # the top degree's only as they are read
-            polys = list(polys)
-            polys_at.append(polys)
-        if 2 * d <= max_deg:
-            irreducibles += [polys[pos] for pos, k in enumerate(cofactors)
-                             if k < 0]
-        for f, i, sig, phi, k in zip(polys, smallest, sigmas, phis,
-                                     cofactors):
+        for f, i, sig, phi, k in zip(enumerate_monic(spec, d), smallest,
+                                     sigmas, phis, cofactors):
             if k < 0:
+                irreducibles.append(f)  # at index i: enumeration order
                 yield SieveEntry(f, f, None, sig, phi)
             else:
                 small = irreducibles[i]
-                yield SieveEntry(f, small, polys_at[d - small.degree][k],
-                                 sig, phi)
-        if d % 2 == 0:
-            polys_at[d // 2] = None
+                yield SieveEntry(f, small,
+                                 _monic(spec, d - small.degree, k), sig, phi)
 
 
 # One build is cached: the erdos suite reads phi and sigma from the same
@@ -581,7 +558,7 @@ def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """
     table: dict[int, list[Poly]] = {}
     for d, (_, _, phis, _) in enumerate(_sieve_levels(spec, max_deg), 1):
-        for f, value in zip(_polys(spec, d), phis):
+        for f, value in zip(enumerate_monic(spec, d), phis):
             table.setdefault(value, []).append(f)
     return table
 

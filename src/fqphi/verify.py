@@ -2,16 +2,15 @@
 against an independent brute-force computation at full desk scale.
 
 The brute-force side of the collisions, preimage, erdos and density suites
-is ``preimage.sieve``, which constructs every monic from its prime factors
-and reads phi and sigma off the construction, without calling ``factor``.
-The preimage, erdos and density suites read only values: the number of
-monics per phi value from ``preimage.phi_counts`` and the sigma values
-from ``preimage.sigma_values``, one build of the sieve that holds
-integers and makes no ``Poly``.  The collision suite
-reads each monic's signature off the same construction, takes phi from the
-sieve's recurrence (not from the signature formula), and compares the
-distinct (signature, phi) classes, weighting each class pair by the number
-of monic pairs in it.
+is the sieve of ``preimage._sieve_levels``, which constructs every monic
+from its prime factors and reads phi and sigma off the construction,
+without calling ``factor`` or building a ``Poly``.  The preimage, erdos and
+density suites read only values: the number of monics per phi value from
+``preimage.phi_counts`` and the sigma values from ``preimage.sigma_values``,
+one cached build.  The collision suite reads each monic's signature off
+the construction by position, takes phi from the sieve's recurrence (not
+from the signature formula), and compares the distinct (signature, phi)
+classes, weighting each class pair by the number of monic pairs in it.
 
 Each suite returns a list of CheckResult rows; the CLI prints them and turns
 any failure into a nonzero exit.  Budgets shrink the sweeps for quick runs;
@@ -76,26 +75,34 @@ def _oracle_phi_values(spec: FieldSpec, y: int) -> set[int]:
 
 
 def _sieve_signatures(spec: FieldSpec, max_deg: int):
-    """(entry, signature) for every monic of degree 1..max_deg, in
-    ``preimage.sieve`` order, without ``factor``.
+    """(signature, phi) for every monic of degree 1..max_deg, in
+    enumeration order, read off ``preimage._sieve_levels`` by position.
 
     The sieve builds a reducible f as P * g with P its smallest prime
     factor, after g.  P divides g exactly when g's smallest factor is P too,
     so f has g's signature counts, plus one at deg P when P does not divide g.
     """
-    built: dict[tuple, tuple[tuple, dict[int, int]]] = {}
-    for entry in preimage.sieve(spec, max_deg):
-        small = entry.smallest.coeffs
-        if entry.cofactor is None:
-            counts = {entry.poly.degree: 1}
-        else:
-            g_small, counts = built[entry.cofactor.coeffs]
-            if g_small != small:
-                d = entry.smallest.degree
-                counts = {**counts, d: counts.get(d, 0) + 1}
-        if entry.poly.degree < max_deg:
-            built[entry.poly.coeffs] = (small, counts)
-        yield entry, Signature(entry.poly.degree, counts)
+    # The degree of the irreducible with each index: the sieve raises
+    # unless degree d has exactly pi_q(d) of them.
+    degree_of: list[int] = []
+    # Per degree below max_deg: each monic's smallest factor and counts.
+    built: list[tuple[list[int], list[dict[int, int]]]] = [([], [])]
+    for d, (smallest, _, phis, cofactors) in enumerate(
+            preimage._sieve_levels(spec, max_deg), 1):
+        degree_of += [d] * spec.pi(d)
+        level = []
+        for i, phi, k in zip(smallest, phis, cofactors):
+            if k < 0:
+                counts = {d: 1}
+            else:
+                e = degree_of[i]
+                g_small, g_counts = built[d - e]
+                counts = g_counts[k]
+                if g_small[k] != i:
+                    counts = {**counts, e: counts.get(e, 0) + 1}
+            level.append(counts)
+            yield Signature(d, counts), phi
+        built.append((smallest, level))
 
 
 def suite_collisions(budgets: Budgets = Budgets()) -> list[CheckResult]:
@@ -110,8 +117,8 @@ def suite_collisions(budgets: Budgets = Budgets()) -> list[CheckResult]:
         spec = _spec(q)
         max_deg = budgets.cap("degree", default_deg)
         sizes = Counter(
-            (sig.degree, tuple(sorted(sig.counts.items())), entry.phi)
-            for entry, sig in _sieve_signatures(spec, max_deg))
+            (sig.degree, tuple(sorted(sig.counts.items())), value)
+            for sig, value in _sieve_signatures(spec, max_deg))
         classes = [
             (Signature(degree, dict(counts)), value, n)
             for (degree, counts, value), n in sizes.items()]

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 
 from fqphi import (
+    CounterexampleError,
     FieldSpec,
     count_profile,
     erdos,
@@ -19,6 +20,7 @@ from fqphi import (
     represent,
     sigma,
 )
+from fqphi.numtheory import ilog
 
 
 def oracle_intersection(spec, y):
@@ -368,3 +370,60 @@ class TestWitness:
             f, g = erdos_witness(n, F2)
             assert phi(f).value == n
             assert sigma(g) == n
+
+    @pytest.mark.parametrize("q,y", [(2, 120), (3, 150)])
+    def test_witnesses_are_first_in_order(self, q, y):
+        spec = FieldSpec(q)
+        for n in intersection_up_to(y, spec):
+            first_g = next(g for d in range(1, ilog(n, q) + 1)
+                           for g in enumerate_monic(spec, d)
+                           if sigma(g) == n)
+            assert erdos_witness(n, spec) == (
+                preimage.preimage_list(n, spec)[0], first_g), n
+
+    def test_never_calls_sieve(self, no_sieve, F2, F3):
+        assert [str(g) for g in erdos_witness(3, F2)] == ["x^2+x+1", "x"]
+        assert [str(g) for g in erdos_witness(4, F3)] == ["x^2+x", "x"]
+        for spec in (F2, F3):
+            for n in intersection_up_to(60, spec):
+                f, g = erdos_witness(n, spec)
+                assert phi(f).value == sigma(g) == n
+
+
+REAL_LEVELS = preimage._sieve_levels
+
+
+def sigma_levels(wrong):
+    """``_sieve_levels`` with each degree's sigma list replaced by
+    wrong(|g|, sigmas) for the monics g of that degree."""
+    def levels(spec, max_deg):
+        for d, (smallest, sigmas, phis, cofactors) in enumerate(
+                REAL_LEVELS(spec, max_deg), 1):
+            yield smallest, wrong(spec.q**d, sigmas), phis, cofactors
+    return levels
+
+
+class TestWitnessFaults:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # the cached build would keep the injected sigma values
+        preimage._sieve_values.cache_clear()
+        yield
+        preimage._sieve_values.cache_clear()
+
+    def test_sigma_below_size_raises(self, monkeypatch, F2):
+        monkeypatch.setattr(preimage, "_sieve_levels", sigma_levels(
+            lambda size, sigmas: [size - 1] * len(sigmas)))
+        with pytest.raises(CounterexampleError,
+                           match=r"sigma\(x\) = 1 below \|g\| = 2"):
+            erdos_witness(3, F2)
+
+    def test_no_sigma_preimage_raises(self, monkeypatch, F2):
+        # every sigma value |g|: sigma(g) >= |g| holds, and 7 is no power
+        # of 2
+        monkeypatch.setattr(preimage, "_sieve_levels", sigma_levels(
+            lambda size, sigmas: [size] * len(sigmas)))
+        with pytest.raises(CounterexampleError,
+                           match=r"7 matched family \(2\^d1-1\) but has no "
+                                 r"sigma preimage"):
+            erdos_witness(7, F2)

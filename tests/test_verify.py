@@ -1,13 +1,22 @@
 """The collisions suite of ``verify`` on its sieve-built signature classes.
 
-The suite reads signatures and phi values off ``preimage.sieve`` and runs
-the criterion once per class pair; these tests pin it to the per-pair
-counts it replaces and show that it needs no ``factor``.
+The suite reads signatures and phi values by position off the sieve of
+``preimage._sieve_levels`` and runs the criterion once per class pair;
+these tests pin it to the per-pair counts it replaces and show that it
+needs no ``factor`` and no ``preimage.sieve``.
 """
 
 import pytest
 
-from fqphi import collision, gfpoly, signature, totient, verify
+from fqphi import (
+    collision,
+    enumerate_monic,
+    gfpoly,
+    phi,
+    signature,
+    totient,
+    verify,
+)
 
 GRIDS = ((2, 7), (3, 5), (4, 4), (5, 3))
 
@@ -15,9 +24,14 @@ GRIDS = ((2, 7), (3, 5), (4, 4), (5, 3))
 @pytest.mark.parametrize("q,max_deg", GRIDS)
 def test_sieve_signatures_match_factor(q, max_deg):
     spec = verify._spec(q)
+    monics = (f for d in range(1, max_deg + 1)
+              for f in enumerate_monic(spec, d))
     seen = 0
-    for entry, sig in verify._sieve_signatures(spec, max_deg):
-        assert sig == signature(entry.poly), entry.poly
+    for f, (sig, value) in zip(monics,
+                               verify._sieve_signatures(spec, max_deg),
+                               strict=True):
+        assert sig == signature(f), f
+        assert value == phi(f).value, f
         seen += 1
     assert seen == sum(q**d for d in range(1, max_deg + 1))
 
@@ -43,5 +57,10 @@ def test_collisions_suite_never_factors(monkeypatch):
 
     monkeypatch.setattr(gfpoly, "factor", no_factor)
     monkeypatch.setattr(totient, "factor", no_factor)
+    rows = verify.run_suite("collisions")
+    assert len(rows) == 4 and all(row.ok for row in rows), rows
+
+
+def test_collisions_suite_never_calls_sieve(no_sieve):
     rows = verify.run_suite("collisions")
     assert len(rows) == 4 and all(row.ok for row in rows), rows
