@@ -1,3 +1,4 @@
+import hashlib
 from bisect import bisect_right
 
 import pytest
@@ -14,12 +15,22 @@ from fqphi import (
     phi_table,
     phi_values_up_to,
 )
+from fqphi.erdos import intersection_up_to
 from fqphi.numtheory import ilog
-from fqphi.preimage import reachable_sums
 
 REFERENCE_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5),
                     FieldSpec(7), FieldSpec(2, 3), FieldSpec(3, 2),
                     FieldSpec(2, 4)]
+
+
+def sums_of(degrees, limit):
+    """The w in 0..limit that are non-negative combinations of the degrees,
+    by a sieve over w of its own, independent of the code under test."""
+    reachable = {0}
+    for w in range(1, limit + 1):
+        if any(w - d in reachable for d in degrees if d <= w):
+            reachable.add(w)
+    return reachable
 
 
 def reference_values(y, spec):
@@ -38,10 +49,8 @@ def reference_values(y, spec):
                 values.add(value)
                 value *= q
             return
-        j_max = ilog(y // prod_, q)
-        for j, reachable in enumerate(reachable_sums(support, j_max)):
-            if reachable:
-                values.add(prod_ * q**j)
+        for j in sums_of(support, ilog(y // prod_, q)):
+            values.add(prod_ * q**j)
 
     def rec(d, prod_, support):
         if d == 0:
@@ -111,6 +120,57 @@ class TestAgainstReference:
     @given(st.sampled_from(REFERENCE_FIELDS), st.integers(1, 10**9))
     def test_any_y(self, spec, y):
         assert phi_values_up_to(y, spec) == reference_values(y, spec)
+
+
+# sha256 of phi_values_up_to, of the density_sweep reports and of
+# intersection_up_to, each over y = 1, 10, 1000, 10**6, 10**9, 10**12 in
+# turn, one repr per line; taken from the recursive walk of one node per
+# factor choice and the recursive slot fill.
+PINS = {
+    (2,): ("8deac53907b99dcd90e7596763a92f005f06df1d6297f383b7ba2edafd45002e",
+           "e2aa2248b1c472de0d0dfc19c45a3ade6c3deb193f3a7b14128ef84c99801fbd",
+           "384b2fc2b944b7fa6574b28a17f54c1bf59c85885b09d5643f47e37aee9426fc"),
+    (3,): ("dff91ec2f051f72a5eb82f1fc663ee81395d555ba8627cc5dd8a42c6089f8ad7",
+           "77462622933aec8446d7860b129af6f663215ddaba0afad773cd802e99228106",
+           "3f5a5416ce72372ef0bf26c2afee0baaeca820e153ae0056e45a67b9bf10dfc2"),
+    (2, 2): (
+        "83effd4902dd190991719f7b892cb4d582b2fe5c22041564c3a725ac28a3f6d0",
+        "95fa4fb02f4403637b60f9fd221a838a6cee7d893ddfd82f251332b36521bde7",
+        "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+    (5,): ("1e0d93e73177eac08d54b5915fa17b1229802cb5db188af1fa77f2c26e1ed6df",
+           "65f6da8ad3ddb05db110d05a8aff92fcfb78473f66953769c5e31241058ccfd7",
+           "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+    (7,): ("11335a45fe5bf6c107206e0eb931d4612399946dfd38a6d9012fff2922f773cc",
+           "929be89f3ab0e17c8575b4f78c4b4f563b9a30e9aa0f910c199e307957725a82",
+           "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+    (2, 3): (
+        "3f86a64b6c58fb37f58cba564e5f8b4744e16429378a564cb62ed43f06a631ff",
+        "c39f81ef298a40339765f3f63c8629ea874733cca6308f9831b1321059240be6",
+        "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+    (3, 2): (
+        "772807b63b77abbc93b61a7e1331697cc78d3b9bbc127123fff445fa525d5c85",
+        "dc30e657a45157b8c6e7597dfc3eaed13700214123413d50dba11f39ffb9e81c",
+        "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+    (2, 4): (
+        "2c73413c705b6253e1e8e7ab993ddc070d702f69d64cda70631a5c7f6baf8aef",
+        "91a9de205d013be58712f540e2ab049d969d4320934769348ec3b73cc824dd39",
+        "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+    (13,): ("adcda5f0c298214c834a9b68dcb09096bcaba5c62daa67b066cf1e53e6faa3d5",
+            "3db3529461ea05df4788b9c60905bfddcaf6f671e18637f17bde1b42612b9690",
+            "b18664a06ed0bd101b25a7b58229152a46f6c4b013207f0721ed49960f9ec7a2"),
+}
+
+
+@pytest.mark.parametrize("field", PINS, ids=lambda f: "^".join(map(str, f)))
+def test_value_sets_are_pinned(field):
+    spec = FieldSpec(*field)
+    digests = [hashlib.sha256() for _ in range(3)]
+    for y in (1, 10, 1000, 10**6, 10**9, 10**12):
+        for digest, output in zip(digests, (phi_values_up_to(y, spec),
+                                            density_sweep(spec, y),
+                                            intersection_up_to(y, spec))):
+            digest.update(repr(output).encode() + b"\n")
+    assert tuple(d.hexdigest() for d in digests) == PINS[field]
 
 
 class TestNodeLimit:
