@@ -5,21 +5,32 @@ degrees d of the irreducible factors.  Each q**d - 1 is -1 mod p, so R is
 prime to q, and the p-adic valuation of a value fixes j: each value has
 exactly one pair (R, j).  ``phi_values_up_to`` therefore walks the choices
 of factors {m_d} (the product capped at y, m_d capped at pi_q(d)), one node
-per distinct choice, each extended only by degrees above its last.  A node
-records the exponents j it admits as a bitmask: j must be a non-negative
-combination of the degrees present (``preimage.reachable_sums``), and a
-degree-1 factor admits every j.  Distinct choices can give the same R (at
-q = 3, 2**3 = 3**2 - 1); their masks are ORed once per R, and no value is
-ever deduplicated.  At q = 2 the degree-1 factors x and x + 1 leave R alone
-(2 - 1 = 1) and admit every j, so the walk leaves degree 1 out and every R
-admits every j.
+per distinct choice.  A node admits the exponents j that are non-negative
+combinations of the degrees present (``preimage.reachable_sums``, a
+bitmask with bit j for j), so a degree-1 factor admits every j.  At q = 2
+the degree-1 factors x and x + 1 leave R alone (2 - 1 = 1) and admit every
+j, so the walk leaves degree 1 out and every R admits every j.
+
+The walk goes by levels, one per degree d from the highest with
+q**d - 1 <= y down to the lowest, without recursion.  It keeps the nodes in
+groups, one sorted list of R per mask.  At level d, for m = 1..pi_q(d), the
+R of a group up to y // (q**d - 1)**m (found by bisection) are multiplied
+by (q**d - 1)**m in one list comprehension, and join the group of the mask
+closed under d: one knapsack step per group and level, not per node.
+Timsort merges the new runs into each group.  A mask keeps only the j that
+the group's children can reach (R * q**j <= y, R their least value), and a
+mask holding all of them joins the full group, the R that admit every j:
+the fewer distinct masks, the fewer groups.  Distinct choices can give the
+same R (at q = 3, 2**3 = 3**2 - 1); the masks of one R are ORed once at
+the end, and no value is ever deduplicated.
 
 The values then fall into runs of R: ``free`` holds the R that admit every
 j, so R * q**j <= y is the only cut on them, and run_j the other R that
-admit j.  ``phi_values_up_to`` concatenates R * q**j run by run and sorts
-once (Timsort merges the presorted runs); ``density_sweep`` counts V(point)
-as the sum over j of bisect_right over the runs at point // q**j and builds
-no list of values.  A walk past ``NODE_LIMIT`` nodes raises ValueError.
+admit j, cut at y // q**j.  ``phi_values_up_to`` concatenates R * q**j run
+by run and sorts once (Timsort merges the presorted runs);
+``density_sweep`` counts V(point) as the sum over j of bisect_right over
+the runs at point // q**j and builds no list of values.  A walk past
+``NODE_LIMIT`` nodes raises ValueError.
 
 The count V(y) is bounded by 2 q k (e^2/2)^(k/2) with k = floor(log_q y); a
 violation would contradict a proven statement and raises CounterexampleError.
@@ -39,14 +50,12 @@ from .numtheory import GUARD, ilog
 from .preimage import reachable_sums
 
 #: Nodes (distinct choices of factors) one walk may keep.  A node costs
-#: 3-5 us and 130-210 bytes.  On a 2-core x86-64 host the largest accepted
-#: ``fqphi density`` runs take about 5 s (F_3, y = 10**26: 987,467 nodes,
-#: 150 MB) and refusals up to 3 s and 210 MB; a y so large that the walk
-#: must pass the limit is refused before it starts.
+#: about 1 us and 80-150 bytes.  On a 2-core x86-64 host the largest
+#: accepted ``fqphi density`` runs take about 1.2 s (F_3, y = 10**26:
+#: 987,467 nodes, 102 MB) and refusals up to 1.3 s and 150 MB (F_13,
+#: y = 13**209 - 1); a y so large that the walk must pass the limit is
+#: refused before it starts.
 NODE_LIMIT = 10**6
-
-# reachable_sums' 0/1 bytes, reversed, read as a binary numeral: the bitmask
-_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
 class DensityReport(NamedTuple):
@@ -80,51 +89,74 @@ def _runs(y: int, spec: FieldSpec) -> tuple[list[int], list[list[int]]]:
         k += 1
     if 2**k - 1 > NODE_LIMIT:
         raise _over_limit(y, q)
-    # (R, mask) per node, combined by sorting.  A dict keyed by R degrades once
-    # R passes 2**61: int hashes are taken mod 2**61 - 1, where 2**d - 1 and
-    # 2**(d mod 61) - 1 agree.  At q = 2 the root R = 1 is a node admitting
-    # every j (-1: every bit set).
-    found: list[tuple[int, int]] = [(1, -1)] if q == 2 else []
-
-    def walk(prod_: int, support: tuple[int, ...], d: int) -> None:
-        # extend by one degree d, d + 1, ... above the last one taken
-        limit = y // prod_
-        while (b := q**d - 1) <= limit:
-            child = support + (d,)
-            cap = spec.pi(d)
-            current = prod_
-            m = 0
-            while m < cap:
-                current *= b
-                if current > y:
+    # At q > 2 the root R = 1 (the constant 1, no node) starts the walk
+    # with the mask of j = 0; at q = 2 it is the node of x and x + 1.
+    full = (1 << j_top + 1) - 1
+    groups = {full if q == 2 else 1: [1]}
+    nodes = 1 if q == 2 else 0
+    for d in range(ilog(y + 1, q), lowest - 1, -1):
+        b = q**d - 1
+        cap = spec.pi(d)
+        powers = []  # (q**d - 1)**m <= y for m = 1..pi_q(d), with y // it
+        power = b
+        while power <= y and len(powers) < cap:
+            powers.append((power, y // power))
+            power *= b
+        born: dict[int, list[int]] = {}
+        for mask, group in groups.items():
+            if group[0] > powers[0][1]:
+                continue
+            room = ilog(powers[0][1] // group[0], q)  # the children's j
+            closed = reachable_sums((d,), room, mask & (1 << room + 1) - 1)
+            if closed == (1 << room + 1) - 1:
+                closed = full
+            for power, top in powers:
+                cut = bisect_right(group, top)
+                if not cut:
                     break
-                m += 1
-                if q == 2 or child[0] == 1:
-                    found.append((current, -1))
-                else:
-                    reachable = reachable_sums(child, ilog(y // current, q))
-                    found.append(
-                        (current, int(reachable[::-1].translate(_BINARY), 2)))
-                if len(found) > NODE_LIMIT:
+                nodes += cut
+                if nodes > NODE_LIMIT:
                     raise _over_limit(y, q)
-                walk(current, child, d + 1)
-            d += 1
-
-    walk(1, (), lowest)
-    found.sort()  # the nodes of one R adjacent, a full mask (-1) first
-    free: list[int] = []
-    partial: list[list[int]] = []  # [R, the OR of its masks]
-    for r, mask in found:
-        if free and free[-1] == r:
-            continue  # R already admits every j
-        if mask == -1:
-            free.append(r)
-        elif partial and partial[-1][0] == r:
-            partial[-1][1] |= mask
-        else:
-            partial.append([r, mask])
-    runs = [[r for r, mask in partial if mask >> j & 1]
-            for j in range(j_top + 1)]
+                born.setdefault(closed, []).extend(
+                    [r * power for r in group[:cut]])
+        for mask, new in born.items():
+            group = groups.setdefault(mask, [])
+            group += new
+            group.sort()
+    if q != 2:
+        del groups[1][0]  # the root
+    found = groups.pop(full, [])
+    # one R per distinct choice giving it; a dict keyed by R would degrade
+    # once R passes 2**61: int hashes are taken mod 2**61 - 1, where
+    # 2**d - 1 and 2**(d mod 61) - 1 agree
+    free = [r for r, after in zip(found, found[1:]) if r != after]
+    free += found[-1:]
+    # The other R once each, with the OR of the masks of its choices, and
+    # grouped again by that mask; an R in free drops out (mask 0: every
+    # mask holds j = 0).  A mask bit past an R's own room is cut below.
+    pairs = [(r, mask) for mask, group in groups.items() for r in group]
+    pairs.sort()
+    by_mask: dict[int, list[int]] = {}
+    last, last_mask = 0, 0
+    for r, mask in pairs:
+        if r == last:
+            last_mask |= mask
+            continue
+        if last_mask:
+            by_mask.setdefault(last_mask, []).append(last)
+        i = bisect_right(free, r)
+        last, last_mask = r, 0 if i and free[i - 1] == r else mask
+    if last_mask:
+        by_mask.setdefault(last_mask, []).append(last)
+    runs = []
+    for j in range(j_top + 1):
+        top = y // q**j
+        run = []
+        for mask, rs in by_mask.items():
+            if mask >> j & 1:
+                run += rs[:bisect_right(rs, top)]
+        run.sort()
+        runs.append(run)
     return free, runs
 
 

@@ -16,6 +16,7 @@ matched with d1 > d2, then (d2, d1) would have matched first.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -38,8 +39,8 @@ class IntersectionVerdict(NamedTuple):
 #: Most slot tuples ``intersection_up_to`` may walk, by the bound of
 #: ``_slot_tuples``.  The largest y accepted is 2**111 - 1 over F_2 and
 #: 3**631 - 1 over F_3.  On a 2-core x86-64 host ``fqphi erdos scan`` takes
-#: 0.3 s and 28 MB there over F_2 (35,106 members), and 0.8 s and
-#: 100 MB over F_3 (99,540 members of up to 302 digits); a refusal takes
+#: 0.2 s and 31 MB there over F_2 (35,106 members), and 0.8 s and
+#: 103 MB over F_3 (99,540 members of up to 302 digits); a refusal takes
 #: no longer than the start-up.  Over F_2 the member count grows like
 #: (log y)**3.
 SCAN_LIMIT = 2 * 10**5
@@ -144,7 +145,10 @@ def _slot_tuples(y: int, q: int) -> int:
 def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
     """All intersection members <= y, deduplicated and sorted.
 
-    Raises ValueError, before the walk, when ``_slot_tuples`` passes
+    The slots of a family are filled one at a time: each slot's factors
+    q**d - 1 are listed in ascending order, and every value so far takes
+    those that keep it <= y, a prefix found by bisection.  Raises
+    ValueError, before the walk, when ``_slot_tuples`` passes
     ``SCAN_LIMIT``.
     """
     if y < 1:
@@ -157,20 +161,18 @@ def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
             f"F_{q} may walk {tuples} slot tuples; the limit is SCAN_LIMIT = "
             f"{SCAN_LIMIT}")
     out = set()
-
-    def fill(slots, value: int) -> None:
-        if not slots:
-            out.add(value)
-            return
-        (d_min, cond), rest = slots[0], slots[1:]
-        d = d_min
-        while value * (q**d - 1) <= y:
-            if cond is None or cond(d):
-                fill(rest, value * (q**d - 1))
-            d += 1
-
     for fam in _FAMILIES.get(q, ()):
-        fill(fam.slots, _family_value(q, fam.fixed))
+        values = [_family_value(q, fam.fixed)]
+        for d_min, cond in fam.slots:
+            factors = []
+            d = d_min
+            while (factor := q**d - 1) <= y:
+                if cond is None or cond(d):
+                    factors.append(factor)
+                d += 1
+            values = [v * f for v in values
+                      for f in factors[:bisect_right(factors, y // v)]]
+        out.update(values)
     return sorted(out)
 
 

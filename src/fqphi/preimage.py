@@ -78,16 +78,18 @@ class SieveEntry(NamedTuple):
     phi: int
 
 
-def reachable_sums(degrees, limit: int) -> bytearray:
-    """Unbounded knapsack: entry w in 0..limit is 1 exactly when w is a
-    non-negative integer combination of the given degrees."""
-    reachable = bytearray(limit + 1)
-    reachable[0] = 1
+def reachable_sums(degrees, limit: int, sums: int = 1) -> int:
+    """Unbounded knapsack on a bitmask: bit w of the result, 0 <= w <= limit,
+    is set exactly when w is a set bit of ``sums`` plus a non-negative
+    integer combination of the given degrees.  The default sums = 1 holds 0
+    alone, so the bits are the combinations themselves.  Shifts by d, 2d,
+    4d, ... add i * d for every i below the next power of two."""
+    full = (1 << limit + 1) - 1
     for d in degrees:
-        for w in range(d, limit + 1):
-            if reachable[w - d]:
-                reachable[w] = 1
-    return reachable
+        while d <= limit:
+            sums |= sums << d & full
+            d *= 2
+    return sums
 
 
 def _primitive_part(q: int, d: int) -> int:
@@ -215,7 +217,7 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
             break  # the path dies
         else:
             if rem == 1 and (q == 2 or counts and (
-                    not j or reachable_sums(counts, j)[j])):
+                    not j or reachable_sums(counts, j) >> j & 1)):
                 found.append(Representation(j, counts))
     found.sort(key=lambda rep: sorted(rep.counts.items()))
     return found
@@ -367,9 +369,10 @@ def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
     """The monic of degree d at this position in enumeration order: the
     base-q digits of the position, most significant first, are its
     coefficients from the constant term up."""
-    q = spec.q
-    return _mk(spec, tuple(pos // q**(d - 1 - j) % q for j in range(d))
-               + (1,))
+    codes = [1] * (d + 1)
+    for j in range(d - 1, -1, -1):
+        pos, codes[j] = divmod(pos, spec.q)
+    return _mk(spec, tuple(codes))
 
 
 def _sieve_levels(spec: FieldSpec, max_deg: int):
@@ -650,6 +653,8 @@ def count_profile(n: int, spec: FieldSpec) -> CountProfile:
                 f"expected count 3 at n = 1 over F_2, got {count}")
         return CountProfile(n, count, label)
 
+    if not reps:  # no form: the count is 0 and the shape condition False
+        return CountProfile(n, 0, "empty")
     unique_shape = _uniqueness_condition(reps, spec)
     if (count == 1) != unique_shape:
         raise CounterexampleError(

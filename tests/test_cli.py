@@ -371,7 +371,7 @@ class TestEnumerationLimit:
     @pytest.mark.parametrize("y", [10**22, 10**4000],
                              ids=["in-the-walk", "before-the-walk"])
     def test_density_beyond_the_node_limit(self, y):
-        # 10**22: the walk passes NODE_LIMIT after about 1.5 s; 10**4000 is
+        # 10**22: the walk passes NODE_LIMIT after about 0.3 s; 10**4000 is
         # refused before it (the walk once held 10**6 13,000-bit values)
         proc = self.run_cli("density", "--p", "2", "--y", str(y))
         assert proc.returncode == 2 and "NODE_LIMIT" in proc.stderr

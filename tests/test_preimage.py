@@ -142,7 +142,7 @@ def reference_represent(n, spec):
             return
         if rem != 1 or not counts:
             return
-        if j and not preimage.reachable_sums(counts, j)[j]:
+        if j and not preimage.reachable_sums(counts, j) >> j & 1:
             return
         found.append(preimage.Representation(j, counts))
 
@@ -334,8 +334,18 @@ class TestReachableSums:
             for coeffs in product(
                 *(range(limit // d + 1) for d in degrees))
         }
-        want = bytearray(w in sums for w in range(limit + 1))
+        want = sum(1 << w for w in sums if w <= limit)
         assert preimage.reachable_sums(degrees, limit) == want
+
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           st.integers(0, 60))
+    @settings(max_examples=100)
+    def test_one_degree_at_a_time(self, degrees, limit):
+        # density closes a group's mask under one degree per level
+        sums = 1
+        for d in degrees:
+            sums = preimage.reachable_sums((d,), limit, sums)
+        assert sums == preimage.reachable_sums(degrees, limit)
 
 
 class TestWeightedCompositions:
