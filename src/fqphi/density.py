@@ -106,7 +106,7 @@ def _runs(y: int, spec: FieldSpec) -> tuple[list[int], list[list[int]]]:
         for mask, group in groups.items():
             if group[0] > powers[0][1]:
                 continue
-            room = ilog(powers[0][1] // group[0], q)  # the children's j
+            room = ilog(powers[0][1] // group[0], q)  # any child's j
             closed = reachable_sums((d,), room, mask & (1 << room + 1) - 1)
             if closed == (1 << room + 1) - 1:
                 closed = full

@@ -82,8 +82,9 @@ def reachable_sums(degrees, limit: int, sums: int = 1) -> int:
     """Unbounded knapsack on a bitmask: bit w of the result, 0 <= w <= limit,
     is set exactly when w is a set bit of ``sums`` plus a non-negative
     integer combination of the given degrees.  The default sums = 1 holds 0
-    alone, so the bits are the combinations themselves.  Shifts by d, 2d,
-    4d, ... add i * d for every i below the next power of two."""
+    alone, so the bits are the combinations themselves.  Each degree d is
+    added by shifts of d, 2d, 4d, ... up to limit: after the shift by
+    2**k * d, every i * d with i < 2**(k + 1) has been added."""
     full = (1 << limit + 1) - 1
     for d in degrees:
         while d <= limit:

@@ -588,6 +588,16 @@ class TestCountProfile:
         assert [str(f) for f in preimage_list(4096, F3)] == ["x^9+2*x"]
         assert preimage_count(4096, F3) == 1
 
+    def test_no_form_is_empty_before_the_shape_check(self, F3, F5,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("shape condition checked")
+
+        monkeypatch.setattr(preimage, "_uniqueness_condition", refuse)
+        # 10 = 2 * 5 over F_3 passes the early rules of represent
+        for n, spec in [(10, F3), (5, F3), (3, F5)]:
+            assert count_profile(n, spec) == CountProfile(n, 0, "empty")
+
     def test_at_least_binom(self, F5):
         n, expected = sierpinski_witness(F5, "binomial", 1)
         profile = count_profile(n, F5)
