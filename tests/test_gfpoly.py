@@ -375,6 +375,125 @@ class TestFactor:
             assert len(set(parts)) == len(parts)
 
 
+def gcd_mod_p(a, b, p):
+    """Monic gcd of two code lists over F_p, low degree first, by Euclid on
+    plain lists."""
+    a, b = list(a), list(b)
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def is_squarefree_mod_p(coeffs, p):
+    deriv = [k * c % p for k, c in enumerate(coeffs)][1:]
+    return len(gcd_mod_p(coeffs, deriv, p)) == 1
+
+
+def berlekamp_nullity(coeffs, p):
+    """dim ker(Q - I) for a monic f over F_p given by its codes, low degree
+    first.  Row i of Q holds the codes of x^(p i) mod f, built by shifting
+    and reducing with no Poly division, gcd or powmod.  A square-free f has
+    exactly this many distinct irreducible factors (Berlekamp, Bell Syst.
+    Tech. J. 46, 1967; von zur Gathen & Gerhard, Modern Computer Algebra,
+    14.8).  Over F_2 a row is one int and elimination is xor."""
+    n = len(coeffs) - 1
+    if p == 2:
+        f = sum(c << k for k, c in enumerate(coeffs))
+        rows, r = [], 1
+        for i in range(n):
+            rows.append(r ^ 1 << i)
+            for _ in range(2):
+                r <<= 1
+                if r >> n & 1:
+                    r ^= f
+        pivots = {}  # leading bit -> row
+        for r in rows:
+            while r and r.bit_length() in pivots:
+                r ^= pivots[r.bit_length()]
+            if r:
+                pivots[r.bit_length()] = r
+        return n - len(pivots)
+    rows, r = [], [1] + [0] * (n - 1)
+    for i in range(n):
+        rows.append([(c - (k == i)) % p for k, c in enumerate(r)])
+        for _ in range(p):
+            top, r = r[-1], [0] + r[:-1]
+            r = [(c - top * fk) % p for c, fk in zip(r, coeffs)]
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        top = [c * inv % p for c in rows[rank]]
+        for i in range(rank + 1, n):
+            if rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return n - rank
+
+
+class TestBerlekamp:
+    """Berlekamp's rank as a certificate for ``is_irreducible`` and
+    ``factor`` at degrees that trial division and the sieve do not reach;
+    it shares no step with either."""
+
+    def test_reference_examples(self):
+        assert berlekamp_nullity([1, 1, 1], 2) == 1        # x^2+x+1
+        assert berlekamp_nullity([0, 1, 1], 2) == 2        # x(x+1)
+        assert berlekamp_nullity([1, 0, 1], 3) == 1        # x^2+1 over F_3
+        assert berlekamp_nullity([2, 0, 1], 3) == 2        # (x+1)(x+2)
+        assert gcd_mod_p([1, 0, 1], [1, 1], 2) == [1, 1]   # (x+1)^2, x+1
+        assert gcd_mod_p([2, 0, 1], [2, 2], 3) == [1, 1]   # x^2+2, 2x+2
+        assert not is_squarefree_mod_p([1, 0, 1], 2)
+        assert is_squarefree_mod_p([0, 1, 1], 2)
+
+    def test_trinomials_over_f2(self, F2):
+        # x^n + x^m + 1 for m in {1, n//2}, n <= 100; the squares (n and m
+        # both even) and any other repeated factor are left out
+        checked = 0
+        for n, m in sorted({(n, m) for n in range(2, 101)
+                            for m in (1, n // 2)}):
+            coeffs = [1] + [0] * (n - 1) + [1]
+            coeffs[m] = 1
+            if not is_squarefree_mod_p(coeffs, 2):
+                continue
+            t = Poly(F2, coeffs)
+            assert is_irreducible(t) == (berlekamp_nullity(coeffs, 2) == 1), t
+            checked += 1
+        assert checked == 171
+
+    @pytest.mark.parametrize("p,degree", [(2, 60), (3, 40), (5, 30), (7, 20)])
+    def test_seeded_factorizations(self, p, degree):
+        spec = FieldSpec(p)
+        rng = random.Random(f"berlekamp:{p}:{degree}")
+        checked = 0
+        while checked < 5:
+            coeffs = [rng.randrange(p) for _ in range(degree)] + [1]
+            if not is_squarefree_mod_p(coeffs, p):
+                continue
+            f = Poly(spec, coeffs)
+            fac = factor(f)
+            assert fac.expand() == f, f
+            assert len(fac.parts) == berlekamp_nullity(coeffs, p), f
+            for part, exp in fac.parts:
+                assert exp == 1
+                assert berlekamp_nullity(list(part.coeffs), p) == 1, part
+            checked += 1
+
+
 class TestEnumeration:
     def test_monic_degree_one_order(self, F2):
         assert [str(f) for f in enumerate_monic(F2, 1)] == ["x", "x+1"]
