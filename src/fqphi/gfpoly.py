@@ -19,6 +19,7 @@ the zero polynomial prints ``0``.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from itertools import product
@@ -45,6 +46,20 @@ def _digits_code(digits: list[int], p: int) -> int:
     for d in reversed(digits):
         code = code * p + d
     return code
+
+
+def _power(base, e: int, one, mul):
+    """base**e by square-and-multiply.  ``mul`` is called at each step, so a
+    rebound operator or method sees every product."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
 
 
 class FieldSpec:
@@ -88,10 +103,7 @@ class FieldSpec:
         # take q - 2 direct products, then a * b = g**(log a + log b).
         q, p, s = self.q, self.p, self.s
         mod = list(self.modulus)
-        self._neg_table = [
-            _digits_code([(-d) % p for d in _code_digits(a, p, s)], p)
-            for a in range(q)
-        ]
+        self._neg_table = [self.neg(a) for a in range(q)]  # by the digit path
         # digit-wise sums mod p; each pass adds a lowest digit i, k:
         # (a p + i) + (b p + k) = (a + b) p + (i + k) % p
         add: list[list[int]] = [[0]]
@@ -176,14 +188,7 @@ class FieldSpec:
         return self.elem_pow(a, self.q - 2)
 
     def elem_pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(a, e, 1, self.mul)
 
     def elements(self) -> range:
         return range(self.q)
@@ -416,16 +421,7 @@ class Poly:
         return _mk(fld, _strip(out))
 
     def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative polynomial exponent")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.field.one(), operator.mul)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         fld = self._common_field(other)
@@ -503,43 +499,29 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 def powmod(f: Poly, e: int, g: Poly) -> Poly:
     """f**e mod g with an arbitrary-precision exponent."""
-    if e < 0:
-        raise ValueError("negative exponent")
     if g.is_zero():
         raise ZeroDivisionError("reduction modulo zero polynomial")
-    result = f.field.one() % g
-    base = f % g
-    while e:
-        if e & 1:
-            result = (result * base) % g
-        base = (base * base) % g
-        e >>= 1
-    return result
+    return _power(f % g, e, f.field.one() % g, lambda a, b: a * b % g)
 
 
 # -- irreducibility -----------------------------------------------------------
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Ben-Or's test: gcd(f, x^(q^i) - x) = 1 for every i <= d/2.
+    """Whether the distinct-degree split of f starts with (f, deg f): Ben-Or's
+    test, gcd(f, x^(q^i) - x) = 1 for every i <= d/2.
 
     x^(q^i) - x is the product of the monic irreducibles whose degree
-    divides i.  A reducible f of degree d has a prime factor of degree
-    i <= d/2, which divides x^(q^i) - x; an irreducible f divides it only
-    when d | i, so for i < d it shares no factor with it.  (Ben-Or, FOCS
-    1981; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14.)"""
+    divides i.  For any monic f of degree d, square-free or not: a reducible
+    f has a prime factor of degree i <= d/2, which divides x^(q^i) - x, so
+    the first block comes at an index i <= d/2 < d; an irreducible f divides
+    x^(q^i) - x only when d | i, so for i < d it shares no factor with it
+    and the first block is (f, d).  (Ben-Or, FOCS 1981; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 14.)"""
     d = f.degree
     if d < 1:
         raise ValueError("irreducibility undefined for constants")
-    fld = f.field
-    fm = f.monic()
-    x = fld.x()
-    h = x % fm
-    for _ in range(d // 2):
-        h = powmod(h, fld.q, fm)
-        if gcd(fm, h - x).degree > 0:
-            return False
-    return True
+    return next(_distinct_degree(f.monic()))[1] == d
 
 
 # -- factorization ------------------------------------------------------------
@@ -607,25 +589,26 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return [(g, m) for m, g in sorted(out.items())]
 
 
-def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
-    # g monic squarefree -> [(product of irreducible factors of degree d, d)]
+def _distinct_degree(g: Poly) -> Iterator[tuple[Poly, int]]:
+    # g monic -> (product of the irreducible factors of degree d, d), d rising.
+    # The first block is right for any g (see is_irreducible); later ones
+    # need g squarefree, or a repeated factor left in g // comp comes back
+    # in the block of a multiple of its degree.
     fld = g.field
-    out = []
     x = fld.x()
     h = x % g
     d = 0
     while g.degree > 0:
         d += 1
         if g.degree < 2 * d:
-            out.append((g, g.degree))
-            break
+            yield g, g.degree
+            return
         h = powmod(h, fld.q, g)
         comp = gcd(g, h - x)
         if comp.degree > 0:
-            out.append((comp, d))
+            yield comp, d
             g = g // comp
             h = h % g
-    return out
 
 
 #: Random splits ``_equal_degree`` tries per call.  With consistent field

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
 
@@ -22,7 +25,7 @@ from fqphi import (
 )
 from fqphi import gfpoly
 from fqphi.gfpoly import kron_mul, kron_width
-from fqphi.numtheory import mobius
+from fqphi.numtheory import factor_int
 
 FIELDS = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
 
@@ -196,6 +199,27 @@ class TestArithmetic:
         f = F3.parse("x+2")
         g = F3.parse("x^3+2*x+1")
         assert powmod(f, 11, g) == (f**11) % g
+
+    def test_negative_exponents_raise(self, F3):
+        f, g = F3.parse("x+2"), F3.parse("x^3+2*x+1")
+        with pytest.raises(ValueError):
+            f ** -1
+        with pytest.raises(ValueError):
+            powmod(f, -1, g)
+
+    @pytest.mark.parametrize("p,s", [(5, 1), (2, 2)])
+    def test_negative_element_exponent_raises(self, p, s):
+        # elem_pow once looped forever on e < 0; in a child process with a
+        # timeout a hang fails the test instead of the test run
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = ("from fqphi import FieldSpec; "
+                f"FieldSpec({p}, {s}).elem_pow(2, -1)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert "ValueError: negative exponent -1" in proc.stderr
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_divmod_invariant(self, q):
@@ -526,6 +550,41 @@ class TestEnumeration:
     def test_members_are_irreducible(self, F3):
         for f in enumerate_irreducibles(F3, 3):
             assert is_irreducible(f) and f.is_monic() and f.degree == 3
+
+
+def mobius(n):
+    """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes);
+    the reference for the count of irreducibles in TestPi."""
+    if n < 1:
+        raise ValueError(f"mobius requires n >= 1, got {n}")
+    if n == 1:
+        return 1
+    fac = factor_int(n)
+    if any(e > 1 for e in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+class TestMobius:
+    def test_examples(self):
+        assert mobius(1) == 1
+        assert mobius(6) == 1
+        assert mobius(12) == 0
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            mobius(0)
+
+    def test_agrees_with_definition(self):
+        # recompute from the factorization, the definition-level route
+        for n in range(1, 10001):
+            if n == 1:
+                expected = 1
+            else:
+                fac = factor_int(n)
+                expected = 0 if any(e > 1 for e in fac.values()) \
+                    else (-1) ** len(fac)
+            assert mobius(n) == expected, n
 
 
 class TestPi:
