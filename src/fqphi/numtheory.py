@@ -191,18 +191,6 @@ def factor_int(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def mobius(n: int) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    if n < 1:
-        raise ValueError(f"mobius requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    fac = factor_int(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def zsigmondy_has_primitive(a: int, b: int, n: int) -> bool:
     """Whether a**n - b**n has a prime divisor missing from all earlier terms.
 

@@ -25,7 +25,8 @@ REFERENCE_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5),
 
 def sums_of(degrees, limit):
     """The w in 0..limit that are non-negative combinations of the degrees,
-    by a sieve over w of its own, independent of the code under test."""
+    by a sieve over w of its own, independent of the code under test: the
+    knapsack of this file's and test_preimage's references."""
     reachable = {0}
     for w in range(1, limit + 1):
         if any(w - d in reachable for d in degrees if d <= w):

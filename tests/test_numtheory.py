@@ -45,28 +45,6 @@ class TestIlog:
             assert nt.ilog(b, b) == 1
 
 
-class TestMobius:
-    def test_examples(self):
-        assert nt.mobius(1) == 1
-        assert nt.mobius(6) == 1
-        assert nt.mobius(12) == 0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            nt.mobius(0)
-
-    def test_agrees_with_definition(self):
-        # recompute from the factorization, the definition-level route
-        for n in range(1, 10001):
-            if n == 1:
-                expected = 1
-            else:
-                fac = nt.factor_int(n)
-                expected = 0 if any(e > 1 for e in fac.values()) \
-                    else (-1) ** len(fac)
-            assert nt.mobius(n) == expected, n
-
-
 class TestFactorInt:
     def test_examples(self):
         assert nt.factor_int(63) == {3: 2, 7: 1}

@@ -33,6 +33,7 @@ from fqphi.numtheory import (
     ilog,
     zsigmondy_has_primitive,
 )
+from test_density import sums_of
 
 F7 = FieldSpec(7)
 F8 = FieldSpec(2, 3)
@@ -116,7 +117,8 @@ class TestRepresent:
 def reference_represent(n, spec):
     """The branching search: at every basis degree d, largest first, try
     each m_d with (q**d - 1)**m_d dividing the remainder.  Independent of
-    the primitive parts that ``represent`` uses to skip the branches."""
+    the primitive parts that ``represent`` uses to skip the branches, and
+    of ``reachable_sums``: j is checked against ``sums_of``."""
     q, p, s = spec.q, spec.p, spec.s
     v, m = 0, n
     while m % p == 0:
@@ -142,7 +144,7 @@ def reference_represent(n, spec):
             return
         if rem != 1 or not counts:
             return
-        if j and not preimage.reachable_sums(counts, j) >> j & 1:
+        if j and j not in sums_of(counts, j):
             return
         found.append(preimage.Representation(j, counts))
 
