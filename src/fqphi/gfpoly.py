@@ -103,7 +103,8 @@ class FieldSpec:
         # take q - 2 direct products, then a * b = g**(log a + log b).
         q, p, s = self.q, self.p, self.s
         mod = list(self.modulus)
-        self._neg_table = [self.neg(a) for a in range(q)]  # by the digit path
+        # neg takes its digit path while the table is still None
+        self._neg_table = [self.neg(a) for a in range(q)]
         # digit-wise sums mod p; each pass adds a lowest digit i, k:
         # (a p + i) + (b p + k) = (a + b) p + (i + k) % p
         add: list[list[int]] = [[0]]
