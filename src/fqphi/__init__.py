@@ -5,61 +5,38 @@ share a totient value from signatures alone, counts and lists preimages
 exactly, locates common phi/sigma values, and enumerates the totient value
 set with its proven size ceiling.  All counting paths are backed by
 independent brute-force oracles exercised in the test and verify suites.
+
+Names load lazily (PEP 562): ``import fqphi`` imports no submodule, and the
+first access to a name imports the module that defines it, so a caller that
+only counts never compiles polynomial arithmetic.
 """
 
-from .collision import same_phi
-from .density import (
-    DensityReport,
-    density_bound,
-    density_report,
-    density_sweep,
-    phi_values_up_to,
-)
-from .erdos import (
-    IntersectionVerdict,
-    erdos_witness,
-    intersection_member,
-    intersection_up_to,
-)
-from .errors import CounterexampleError
-from .gfpoly import (
-    Factorization,
-    FieldSpec,
-    Poly,
-    enumerate_irreducibles,
-    enumerate_monic,
-    factor,
-    gcd,
-    is_irreducible,
-    parse_poly,
-    pi_divisibility_holds,
-    poly_to_text,
-    powmod,
-)
-from .preimage import (
-    CountProfile,
-    Representation,
-    count_profile,
-    degree_bound,
-    min_phi,
-    phi_counts,
-    phi_table,
-    preimage_count,
-    preimage_list,
-    represent,
-    sierpinski_witness,
-    sigma_values,
-)
-from .totient import (
-    PhiValue,
-    Signature,
-    SigmaExponents,
-    phi,
-    phi_from_signature,
-    sigma,
-    sigma_exponents,
-    signature,
-)
+from importlib import import_module
+
+# The public names, by the module that defines each one.
+_EXPORTS = {
+    "collision": ("same_phi",),
+    "density": ("DensityReport", "density_bound", "density_report",
+                "density_sweep", "phi_values_up_to"),
+    "erdos": ("IntersectionVerdict", "erdos_witness", "intersection_member",
+              "intersection_up_to"),
+    "errors": ("CounterexampleError",),
+    "field": ("FieldSpec",),
+    "gfpoly": ("Factorization", "Poly", "enumerate_irreducibles",
+               "enumerate_monic", "factor", "gcd", "is_irreducible",
+               "parse_poly", "pi_divisibility_holds", "poly_to_text",
+               "powmod"),
+    "preimage": ("CountProfile", "Representation", "count_profile",
+                 "degree_bound", "min_phi", "phi_counts", "phi_table",
+                 "preimage_count", "preimage_list", "represent",
+                 "sierpinski_witness", "sigma_values"),
+    "totient": ("PhiValue", "Signature", "SigmaExponents", "phi",
+                "phi_from_signature", "sigma", "sigma_exponents",
+                "signature"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "numtheory", "verify"}
 
 __version__ = "0.1.0"
 
@@ -109,3 +86,19 @@ __all__ = [
     "signature",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Called only for a name not yet in the module's namespace: a public
+    # name is cached there, and importing a submodule binds it there.
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,9 +16,10 @@ import json
 import math
 import sys
 
-from . import collision, density, erdos, preimage, totient
+# Each command imports what it runs, so that one process compiles only
+# those modules: `pi` needs no more than field and numtheory.
 from .errors import CounterexampleError
-from .gfpoly import FieldSpec, factor, parse_poly
+from .field import FieldSpec
 from .numtheory import GUARD
 
 
@@ -116,8 +117,11 @@ def _field(args) -> FieldSpec:
 
 
 def _cmd_phi(args) -> int:
+    from .gfpoly import parse_poly
+    from .totient import phi
+
     spec = _field(args)
-    value = totient.phi(parse_poly(spec, args.poly))
+    value = phi(parse_poly(spec, args.poly))
     _emit(
         {
             "value": str(value.value),
@@ -132,13 +136,18 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
+    from .gfpoly import parse_poly
+    from .totient import sigma
+
     spec = _field(args)
     g = parse_poly(spec, args.poly)
-    _emit({"value": str(totient.sigma(g))}, args.format)
+    _emit({"value": str(sigma(g))}, args.format)
     return 0
 
 
 def _cmd_factor(args) -> int:
+    from .gfpoly import factor, parse_poly
+
     spec = _field(args)
     fac = factor(parse_poly(spec, args.poly))
     if args.format == "text":
@@ -163,8 +172,11 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    from .gfpoly import parse_poly
+    from .totient import signature
+
     spec = _field(args)
-    sig = totient.signature(parse_poly(spec, args.poly))
+    sig = signature(parse_poly(spec, args.poly))
     _emit(
         {
             "degree": sig.degree,
@@ -176,10 +188,14 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_same_phi(args) -> int:
+    from .collision import same_phi
+    from .gfpoly import parse_poly
+    from .totient import signature
+
     spec = _field(args)
-    sig_f = totient.signature(parse_poly(spec, args.f))
-    sig_g = totient.signature(parse_poly(spec, args.g))
-    _emit({"same_phi": collision.same_phi(sig_f, sig_g, spec)}, args.format)
+    sig_f = signature(parse_poly(spec, args.f))
+    sig_g = signature(parse_poly(spec, args.g))
+    _emit({"same_phi": same_phi(sig_f, sig_g, spec)}, args.format)
     return 0
 
 
@@ -209,15 +225,17 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_preimage(args) -> int:
+    from .preimage import count_profile, preimage_count, preimage_list
+
     spec = _field(args)
     if args.n is None or args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.action == "count":
-        count = preimage.preimage_count(args.n, spec)
+        count = preimage_count(args.n, spec)
         _emit({"count": str(count)}, args.format)
         return 0 if count else 1
     if args.action == "list":
-        polys = preimage.preimage_list(args.n, spec)
+        polys = preimage_list(args.n, spec)
         if args.format == "text":
             for f in polys:
                 print(f)
@@ -227,7 +245,7 @@ def _cmd_preimage(args) -> int:
         rows = [["poly"]] + [[str(f)] for f in polys]
         _emit(payload, args.format, csv_rows=rows)
         return 0 if polys else 1
-    profile = preimage.count_profile(args.n, spec)
+    profile = count_profile(args.n, spec)
     _emit({"count": str(profile.count), "class": profile.label}, args.format)
     return 0 if profile.count else 1
 
@@ -257,15 +275,17 @@ def _sierpinski_too_long(spec: FieldSpec, kind: str, l: int,
 
 
 def _cmd_sierpinski(args) -> int:
+    from .preimage import preimage_count, sierpinski_witness
+
     spec = _field(args)
     what = f"n for --kind {args.kind} --l {args.l} over F_{spec.q}"
     _refuse_unprintable(what, lambda limit: _sierpinski_too_long(
         spec, args.kind, args.l, limit))
-    n, expected = preimage.sierpinski_witness(spec, args.kind, args.l)
+    n, expected = sierpinski_witness(spec, args.kind, args.l)
     # the exact test, for the band just below the bound, before counting,
     # which can take far longer than building n
     _refuse_unprintable(what, lambda limit: n >= 10**limit)
-    computed = preimage.preimage_count(n, spec)
+    computed = preimage_count(n, spec)
     _emit(
         {
             "n": str(n),
@@ -279,11 +299,13 @@ def _cmd_sierpinski(args) -> int:
 
 
 def _cmd_erdos(args) -> int:
+    from .erdos import erdos_witness, intersection_member, intersection_up_to
+
     spec = _field(args)
     if args.action == "member":
         if args.n is None or args.n < 1:
             raise ValueError("erdos member requires --n >= 1")
-        verdict = erdos.intersection_member(args.n, spec)
+        verdict = intersection_member(args.n, spec)
         payload: dict = {"member": verdict.member}
         if verdict.member:
             payload["family"] = verdict.family
@@ -295,14 +317,14 @@ def _cmd_erdos(args) -> int:
     if args.action == "scan":
         if args.y is None or args.y < 1:
             raise ValueError("erdos scan requires --y >= 1")
-        members = erdos.intersection_up_to(args.y, spec)
+        members = intersection_up_to(args.y, spec)
         payload = {"members": [str(v) for v in members]}
         rows = [["n"]] + [[v] for v in members]
         _emit(payload, args.format, csv_rows=rows)
         return 0
     if args.n is None or args.n < 1:
         raise ValueError("erdos witness requires --n >= 1")
-    pair = erdos.erdos_witness(args.n, spec)
+    pair = erdos_witness(args.n, spec)
     if pair is None:
         _emit({"member": False}, args.format)
         return 1
@@ -312,10 +334,12 @@ def _cmd_erdos(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .density import density_sweep
+
     spec = _field(args)
     if args.y < 1:
         raise ValueError("--y must be >= 1")
-    reports = density.density_sweep(spec, args.y)
+    reports = density_sweep(spec, args.y)
     rows = [["y", "k", "V", "bound", "ratio"]] + [
         [r.y, r.k, r.count, r.bound, r.ratio] for r in reports
     ]

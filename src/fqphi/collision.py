@@ -19,7 +19,7 @@ themselves, every monic up to a degree bucketed by its totient value, are
 
 from __future__ import annotations
 
-from .gfpoly import FieldSpec
+from .field import FieldSpec
 from .totient import Signature
 
 

@@ -45,7 +45,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import CounterexampleError
-from .gfpoly import FieldSpec
+from .field import FieldSpec
 from .numtheory import GUARD, ilog
 from .preimage import reachable_sums
 

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import comb, prod
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import preimage
 from .errors import CounterexampleError
-from .gfpoly import FieldSpec, Poly
+from .field import FieldSpec
 from .numtheory import ilog
 from .preimage import preimage_count, preimage_list
+
+if TYPE_CHECKING:
+    from .gfpoly import Poly
 
 
 class IntersectionVerdict(NamedTuple):

@@ -36,12 +36,16 @@ from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd, prod
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import CounterexampleError
-from .gfpoly import (FieldSpec, Poly, _mk, enumerate_monic, kron_unpack,
-                     kron_width)
+from .field import FieldSpec
 from .numtheory import compositions, factor_int, ilog
+
+# Counting needs no polynomial arithmetic: the sieve and the functions that
+# build a Poly import from gfpoly when they run.
+if TYPE_CHECKING:
+    from .gfpoly import Poly
 
 
 class Representation(NamedTuple):
@@ -366,14 +370,21 @@ def _codes_position(codes, d: int, q: int) -> int:
     return pos
 
 
-def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
-    """The monic of degree d at this position in enumeration order: the
-    base-q digits of the position, most significant first, are its
-    coefficients from the constant term up."""
+def _monic_codes(q: int, d: int, pos: int) -> tuple[int, ...]:
+    """The codes of the monic of degree d at this position in enumeration
+    order: the base-q digits of the position, most significant first, are
+    its coefficients from the constant term up."""
     codes = [1] * (d + 1)
     for j in range(d - 1, -1, -1):
-        pos, codes[j] = divmod(pos, spec.q)
-    return _mk(spec, tuple(codes))
+        pos, codes[j] = divmod(pos, q)
+    return tuple(codes)
+
+
+def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
+    """The monic of degree d at this position in enumeration order."""
+    from .gfpoly import _mk
+
+    return _mk(spec, _monic_codes(spec.q, d, pos))
 
 
 def _sieve_levels(spec: FieldSpec, max_deg: int):
@@ -408,8 +419,10 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     monic of degree d, no monic is reached twice, and degree d has exactly
     pi_q(d) irreducibles.
     """
-    # Imported here, not with the module: only a sieve build needs it.
+    # Imported here, not with the module: only a sieve build needs them.
     from array import array
+
+    from .gfpoly import enumerate_monic, kron_unpack, kron_width
 
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
@@ -508,6 +521,10 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
     """Every monic of degree 1..max_deg in enumeration order, with its
     smallest prime factor, cofactor, sigma and phi: the build of
     ``_sieve_levels`` with its positions decoded to ``Poly`` objects."""
+    # _mk with _monic_codes, not _monic: an import statement per cofactor
+    # would add about a third to its decoding
+    from .gfpoly import _mk, enumerate_monic
+
     irreducibles: list[Poly] = []
     for d, (smallest, sigmas, phis, cofactors) in enumerate(
             _sieve_levels(spec, max_deg), 1):
@@ -518,8 +535,8 @@ def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
                 yield SieveEntry(f, f, None, sig, phi)
             else:
                 small = irreducibles[i]
-                yield SieveEntry(f, small,
-                                 _monic(spec, d - small.degree, k), sig, phi)
+                cofactor = _monic_codes(spec.q, d - small.degree, k)
+                yield SieveEntry(f, small, _mk(spec, cofactor), sig, phi)
 
 
 # One build is cached: the erdos suite reads phi and sigma from the same
@@ -560,6 +577,8 @@ def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     ``Poly`` per monic but no ``SieveEntry``.  Lists are in enumeration
     order, i.e. sorted by (degree, coefficient codes).
     """
+    from .gfpoly import enumerate_monic
+
     table: dict[int, list[Poly]] = {}
     for d, (_, _, phis, _) in enumerate(_sieve_levels(spec, max_deg), 1):
         for f, value in zip(enumerate_monic(spec, d), phis):

@@ -491,14 +491,43 @@ class TestUsageErrors:
         assert run(capsys, "phi", "--p", "2")[0] == 2
 
 
+# The fqphi modules each cold path loads.  A command loads only what it
+# runs: counting never loads gfpoly, verify loads only for `fqphi verify`,
+# and nothing loads dataclasses (or, through it, inspect).
+CLI_BASE = {"fqphi", "fqphi.cli", "fqphi.errors", "fqphi.field",
+            "fqphi.numtheory"}
+ALL_MODULES = CLI_BASE | {
+    "fqphi.collision", "fqphi.density", "fqphi.erdos", "fqphi.gfpoly",
+    "fqphi.preimage", "fqphi.totient", "fqphi.verify"}
+COLD_PATHS = [
+    ("import fqphi", {"fqphi"}),
+    ("from fqphi import FieldSpec; FieldSpec(2)",
+     {"fqphi", "fqphi.field", "fqphi.numtheory"}),
+    ("from fqphi import FieldSpec; FieldSpec(2, 2)",
+     {"fqphi", "fqphi.errors", "fqphi.field", "fqphi.gfpoly",
+      "fqphi.numtheory"}),
+    ("import fqphi.cli", CLI_BASE),
+    (["preimage", "count", "--p", "2", "--n", "4096"],
+     CLI_BASE | {"fqphi.preimage"}),
+    (["pi", "--p", "7", "--d", "3"], CLI_BASE),
+    (["erdos", "member", "--p", "2", "--n", "12"],
+     CLI_BASE | {"fqphi.erdos", "fqphi.preimage"}),
+    (["sierpinski", "--p", "3", "--kind", "power", "--l", "3"],
+     CLI_BASE | {"fqphi.preimage"}),
+    (["verify", "lemmas", "--p", "2"], ALL_MODULES),
+]
+
+
 def test_cold_start_imports():
-    # every command pays for what importing the CLI loads; verify loads
-    # only for `fqphi verify`, and nothing loads dataclasses (or, through
-    # it, inspect)
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = ("import sys, fqphi.cli; print(' '.join(sorted(m for m in "
-            "('dataclasses', 'inspect', 'fqphi.verify') if m in sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    for case, expected in COLD_PATHS:
+        if isinstance(case, list):
+            case = f"from fqphi.cli import main; main({case!r})"
+        code = (f"import sys; {case}; print(' '.join(sorted(m for m in "
+                "sys.modules if m.partition('.')[0] in "
+                "('fqphi', 'dataclasses', 'inspect'))))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, (case, proc.stderr)
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert loaded == expected, case

@@ -23,7 +23,7 @@ from fqphi import (
     poly_to_text,
     powmod,
 )
-from fqphi import gfpoly
+from fqphi import field, gfpoly
 from fqphi.gfpoly import kron_mul, kron_width
 from fqphi.numtheory import factor_int
 
@@ -206,6 +206,36 @@ class TestArithmetic:
             f ** -1
         with pytest.raises(ValueError):
             powmod(f, -1, g)
+
+    def test_power_makes_no_spare_products(self):
+        # exponents stand in for powers, so a product adds them and a
+        # squaring is the one product of two equal exponents: the result
+        # is below the next power of two it is multiplied by
+        for e in range(201):
+            squares = []
+
+            def mul(a, b):
+                squares.append(a == b)
+                return a + b
+
+            assert field._power(1, e, 0, mul) == e
+            assert sum(squares) == max(e.bit_length() - 1, 0), e
+            assert squares.count(False) == max(bin(e).count("1") - 1, 0), e
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            field._power(1, -1, 0, mul)
+
+    def test_powmod_square_is_one_product(self, F3, monkeypatch):
+        f, g = F3.parse("x+2"), F3.parse("x^3+2*x+1")
+        calls = []
+        real = Poly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        assert powmod(f, 2, g) == real(f, f) % g
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p,s", [(5, 1), (2, 2)])
     def test_negative_element_exponent_raises(self, p, s):

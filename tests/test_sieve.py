@@ -25,7 +25,7 @@ from fqphi import (
     sigma_values,
     signature,
 )
-from fqphi import preimage
+from fqphi import gfpoly, preimage
 from fqphi.gfpoly import kron_unpack
 from fqphi.preimage import sieve
 
@@ -175,7 +175,8 @@ def test_wrong_irreducible_count_raises(monkeypatch):
 # A product's position is decoded by preimage._lanes_position over a prime
 # field with one-byte lanes (every prime field of the verify grids), and
 # through kron_unpack with wider lanes (F_13 to degree 2 has two-byte lanes).
-# The fault tests inject at both seams.
+# The fault tests inject at both seams; the sieve reads kron_unpack from
+# gfpoly when it starts, so that is where it is patched.
 REAL_LANES = preimage._lanes_position
 
 
@@ -207,7 +208,8 @@ def test_monic_reached_twice_raises(monkeypatch):
 ], ids=["F3-lanes", "F5-lanes", "F13-kron_unpack"])
 def test_monic_reached_twice_raises_on_each_seam(monkeypatch, field, seam,
                                                  collapse, monic):
-    monkeypatch.setattr(preimage, seam, collapse)
+    monkeypatch.setattr(gfpoly if seam == "kron_unpack" else preimage, seam,
+                        collapse)
     for build in BUILDS:
         with pytest.raises(CounterexampleError,
                            match=rf"reached {monic} twice"):
@@ -238,7 +240,7 @@ def test_unpacked_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
     def broken_mul(value, p, width):
         return wrong(tuple(kron_unpack(value, p, width)))
 
-    monkeypatch.setattr(preimage, "kron_unpack", broken_mul)
+    monkeypatch.setattr(gfpoly, "kron_unpack", broken_mul)
     for build in BUILDS:
         with pytest.raises(CounterexampleError,
                            match=r"\(x\)\*\(x\) is not a monic of degree 2"):
