@@ -40,52 +40,7 @@ _SUBMODULES = frozenset(_EXPORTS) | {"cli", "numtheory", "verify"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CounterexampleError",
-    "CountProfile",
-    "DensityReport",
-    "Factorization",
-    "FieldSpec",
-    "IntersectionVerdict",
-    "PhiValue",
-    "Poly",
-    "Representation",
-    "Signature",
-    "SigmaExponents",
-    "count_profile",
-    "degree_bound",
-    "density_bound",
-    "density_report",
-    "density_sweep",
-    "enumerate_irreducibles",
-    "enumerate_monic",
-    "erdos_witness",
-    "factor",
-    "gcd",
-    "intersection_member",
-    "intersection_up_to",
-    "is_irreducible",
-    "min_phi",
-    "parse_poly",
-    "phi",
-    "phi_counts",
-    "phi_from_signature",
-    "phi_table",
-    "phi_values_up_to",
-    "pi_divisibility_holds",
-    "poly_to_text",
-    "powmod",
-    "preimage_count",
-    "preimage_list",
-    "represent",
-    "same_phi",
-    "sierpinski_witness",
-    "sigma",
-    "sigma_exponents",
-    "sigma_values",
-    "signature",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .errors import CounterexampleError
 from .field import FieldSpec
 from .numtheory import GUARD, ilog
-from .preimage import reachable_sums
+from .preimage import _FIRST_DEGREE, reachable_sums
 
 #: Nodes (distinct choices of factors) one walk may keep.  A node costs
 #: about 1 us and 80-150 bytes.  On a 2-core x86-64 host the largest
@@ -79,7 +79,7 @@ def _runs(y: int, spec: FieldSpec) -> tuple[list[int], list[list[int]]]:
     """The coprime parts R of the totient values <= y, sorted: ``free``,
     those that admit every j, and run_j, the others that admit j."""
     q = spec.q
-    lowest = 2 if q == 2 else 1
+    lowest = _FIRST_DEGREE.get(q, 1)
     j_top = ilog(y, q)
     # The 2**k - 1 nonempty sets of the degrees lowest .. lowest + k - 1 are
     # nodes while their sum s stays <= j_top (the product is below q**s), so

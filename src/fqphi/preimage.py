@@ -36,7 +36,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd, prod
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CounterexampleError
 from .field import FieldSpec
@@ -69,17 +69,6 @@ class CountProfile(NamedTuple):
     n: int
     count: int
     label: str
-
-
-class SieveEntry(NamedTuple):
-    """One monic f from ``sieve``: its smallest prime factor P, the cofactor
-    f / P (None when f = P is irreducible), sigma(f) and phi(f)."""
-
-    poly: Poly
-    smallest: Poly
-    cofactor: Poly | None
-    sigma: int
-    phi: int
 
 
 def reachable_sums(degrees, limit: int, sums: int = 1) -> int:
@@ -452,7 +441,7 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         sigmas = [size + 1] * size
         phis = [size - 1] * size
         # Machine integers: a list would keep one int object per position
-        # alive for as long as ``sieve`` reads the degree.
+        # alive for as long as a reader holds the degree.
         cofactors = array("l", [-1]) * size
         if d < max_deg:  # the top degree is never a cofactor
             if packed:
@@ -517,28 +506,6 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         yield smallest, sigmas, phis, cofactors
 
 
-def sieve(spec: FieldSpec, max_deg: int) -> Iterator[SieveEntry]:
-    """Every monic of degree 1..max_deg in enumeration order, with its
-    smallest prime factor, cofactor, sigma and phi: the build of
-    ``_sieve_levels`` with its positions decoded to ``Poly`` objects."""
-    # _mk with _monic_codes, not _monic: an import statement per cofactor
-    # would add about a third to its decoding
-    from .gfpoly import _mk, enumerate_monic
-
-    irreducibles: list[Poly] = []
-    for d, (smallest, sigmas, phis, cofactors) in enumerate(
-            _sieve_levels(spec, max_deg), 1):
-        for f, i, sig, phi, k in zip(enumerate_monic(spec, d), smallest,
-                                     sigmas, phis, cofactors):
-            if k < 0:
-                irreducibles.append(f)  # at index i: enumeration order
-                yield SieveEntry(f, f, None, sig, phi)
-            else:
-                small = irreducibles[i]
-                cofactor = _monic_codes(spec.q, d - small.degree, k)
-                yield SieveEntry(f, small, _mk(spec, cofactor), sig, phi)
-
-
 # One build is cached: the erdos suite reads phi and sigma from the same
 # build, and a larger cache only raises peak memory for the values it keeps.
 @lru_cache(maxsize=1)
@@ -574,8 +541,8 @@ def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """Bucket every monic polynomial of degree 1..max_deg by exact phi value.
 
     Built from the phi values of the sieve, never by factoring, with a
-    ``Poly`` per monic but no ``SieveEntry``.  Lists are in enumeration
-    order, i.e. sorted by (degree, coefficient codes).
+    ``Poly`` per monic.  Lists are in enumeration order, i.e. sorted by
+    (degree, coefficient codes).
     """
     from .gfpoly import enumerate_monic
 

@@ -9,19 +9,6 @@ def no_last_form():
     preimage._LAST.clear()
 
 
-@pytest.fixture
-def no_sieve(monkeypatch):
-    """``preimage.sieve`` raises: it decodes every monic to a ``Poly``, and
-    readers of the sieve by position must not go through it.  SieveEntry
-    too: a module that imported ``sieve`` by name would still build its
-    entries."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("sieve called")
-
-    monkeypatch.setattr(preimage, "sieve", refuse)
-    monkeypatch.setattr(preimage, "SieveEntry", refuse)
-
-
 @pytest.fixture(scope="session")
 def F2():
     return FieldSpec(2)

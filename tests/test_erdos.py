@@ -9,6 +9,7 @@ from fqphi import (
     count_profile,
     erdos,
     enumerate_monic,
+    gfpoly,
     erdos_witness,
     intersection_member,
     intersection_up_to,
@@ -381,7 +382,13 @@ class TestWitness:
             assert erdos_witness(n, spec) == (
                 preimage.preimage_list(n, spec)[0], first_g), n
 
-    def test_never_calls_sieve(self, no_sieve, F2, F3):
+    def test_builds_a_poly_only_for_witnesses(self, monkeypatch, F2, F3):
+        # over a prime field the sieve is packed, and preimage_list and the
+        # sigma scan decode only the positions they return
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a Poly built for every monic")
+
+        monkeypatch.setattr(gfpoly, "enumerate_monic", no_enumeration)
         assert [str(g) for g in erdos_witness(3, F2)] == ["x^2+x+1", "x"]
         assert [str(g) for g in erdos_witness(4, F3)] == ["x^2+x", "x"]
         for spec in (F2, F3):

@@ -20,6 +20,7 @@ from fqphi import (
     min_phi,
     phi,
     phi_table,
+    phi_values_up_to,
     preimage_count,
     preimage_list,
     represent,
@@ -416,9 +417,7 @@ class TestPreimageList:
             for n in range(1, 301):
                 runs.setdefault(degree_bound(n, spec), []).append(n)
             for bound, ns in runs.items():
-                expected: dict[int, list] = {}
-                for entry in preimage.sieve(spec, bound):
-                    expected.setdefault(entry.phi, []).append(entry.poly)
+                expected = phi_table(spec, bound)
                 for n in ns:
                     polys = preimage_list(n, spec)
                     assert polys == expected.get(n, []), (spec.q, n)
@@ -614,6 +613,34 @@ class TestCountProfile:
         for n in range(1, 10001):
             labels.add(count_profile(n, spec).label)
         assert "unique" in labels and "empty" in labels
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (2, 3), (3, 2)],
+                             ids=["F2", "F3", "F4", "F5", "F7", "F8", "F9"])
+    def test_gaps_hold_on_every_value_to_10_9(self, field):
+        # count_profile raises on a count in a forbidden gap, so this checks
+        # the gap theorems on the whole value set to y.  The density walk
+        # lists the values and represent counts them: two independent paths
+        # that must agree on which n are values.
+        spec = FieldSpec(*field)
+        y = 10**9
+        values = phi_values_up_to(y, spec)
+        labels = set()
+        for v in values:
+            profile = count_profile(v, spec)
+            assert profile.count > 0, v
+            labels.add(profile.label)
+        # an observation on this range, not a theorem: no value has
+        # exactly two preimages over F_3
+        assert "other" not in labels
+        # log-uniform n <= y: uniform ones would all miss the sparse values
+        listed = set(values)
+        rng = random.Random(spec.q)
+        hits = set()
+        for n in (round(10 ** rng.uniform(0, 9)) for _ in range(2000)):
+            assert (preimage_count(n, spec) > 0) == (n in listed), n
+            hits.add(n in listed)
+        assert hits == {True, False}
 
 
 class TestSharedForm:

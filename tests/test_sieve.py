@@ -1,7 +1,8 @@
 """The sieve oracle against the factor-based totient functions.
 
-``preimage.sieve`` builds every monic from its prime factors and never calls
-``factor``; these tests keep the two independent routes honest against each
+``preimage._sieve_levels`` builds every monic from its prime factors and
+never calls ``factor``; ``sieve`` below decodes its positions to ``Poly``
+objects.  These tests keep the two independent routes honest against each
 other, and show that the sieve's own invariant checks fire, both where the
 entries are built as ``Poly`` objects (``phi_table``) and where only the
 values are (``phi_counts``).
@@ -9,6 +10,7 @@ values are (``phi_counts``).
 
 import hashlib
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -27,12 +29,40 @@ from fqphi import (
 )
 from fqphi import gfpoly, preimage
 from fqphi.gfpoly import kron_unpack
-from fqphi.preimage import sieve
 
 # F_11 to degree 3 packs its products in one-byte lanes at the edge
 # (2 * 10**2 = 200 < 256); F_13 to degree 3 needs two-byte lanes.
 GRIDS = [((2, 1), 10), ((3, 1), 6), ((2, 2), 4), ((5, 1), 4), ((3, 2), 3),
          ((11, 1), 3), ((13, 1), 3)]
+
+
+class SieveEntry(NamedTuple):
+    """One monic f from ``sieve``: its smallest prime factor P, the cofactor
+    f / P (None when f = P is irreducible), sigma(f) and phi(f)."""
+
+    poly: Poly
+    smallest: Poly
+    cofactor: Poly | None
+    sigma: int
+    phi: int
+
+
+def sieve(spec, max_deg):
+    """Every monic of degree 1..max_deg in enumeration order, as a
+    SieveEntry: the build of ``preimage._sieve_levels`` with its positions
+    decoded to ``Poly`` objects."""
+    irreducibles = []
+    for d, (smallest, sigmas, phis, cofactors) in enumerate(
+            preimage._sieve_levels(spec, max_deg), 1):
+        for f, i, sig, phi, k in zip(enumerate_monic(spec, d), smallest,
+                                     sigmas, phis, cofactors):
+            if k < 0:
+                irreducibles.append(f)  # at index i: enumeration order
+                yield SieveEntry(f, f, None, sig, phi)
+            else:
+                small = irreducibles[i]
+                cofactor = preimage._monic(spec, d - small.degree, k)
+                yield SieveEntry(f, small, cofactor, sig, phi)
 
 
 def sieve_factorization(entry, entries):

@@ -3,7 +3,7 @@
 The suite reads signatures and phi values by position off the sieve of
 ``preimage._sieve_levels`` and runs the criterion once per class pair;
 these tests pin it to the per-pair counts it replaces and show that it
-needs no ``factor`` and no ``preimage.sieve``.
+needs no ``factor`` and decodes no position to a ``Poly``.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from fqphi import (
     enumerate_monic,
     gfpoly,
     phi,
+    preimage,
     signature,
     totient,
     verify,
@@ -61,6 +62,10 @@ def test_collisions_suite_never_factors(monkeypatch):
     assert len(rows) == 4 and all(row.ok for row in rows), rows
 
 
-def test_collisions_suite_never_calls_sieve(no_sieve):
+def test_collisions_suite_decodes_no_position(monkeypatch):
+    def no_monic(*args, **kwargs):
+        raise AssertionError("a sieve position decoded to a Poly")
+
+    monkeypatch.setattr(preimage, "_monic", no_monic)
     rows = verify.run_suite("collisions")
     assert len(rows) == 4 and all(row.ok for row in rows), rows
