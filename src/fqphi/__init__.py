@@ -24,15 +24,13 @@ _EXPORTS = {
     "field": ("FieldSpec",),
     "gfpoly": ("Factorization", "Poly", "enumerate_irreducibles",
                "enumerate_monic", "factor", "gcd", "is_irreducible",
-               "parse_poly", "pi_divisibility_holds", "poly_to_text",
-               "powmod"),
+               "parse_poly", "pi_divisibility_holds", "powmod"),
     "preimage": ("CountProfile", "Representation", "count_profile",
                  "degree_bound", "min_phi", "phi_counts", "phi_table",
                  "preimage_count", "preimage_list", "represent",
                  "sierpinski_witness", "sigma_values"),
-    "totient": ("PhiValue", "Signature", "SigmaExponents", "phi",
-                "phi_from_signature", "sigma", "sigma_exponents",
-                "signature"),
+    "totient": ("PhiValue", "Signature", "phi", "phi_from_signature",
+                "sigma", "signature"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -20,9 +20,20 @@ closed under d: one knapsack step per group and level, not per node.
 Timsort merges the new runs into each group.  A mask keeps only the j that
 the group's children can reach (R * q**j <= y, R their least value), and a
 mask holding all of them joins the full group, the R that admit every j:
-the fewer distinct masks, the fewer groups.  Distinct choices can give the
-same R (at q = 3, 2**3 = 3**2 - 1); the masks of one R are ORed once at
-the end, and no value is ever deduplicated.
+the fewer distinct masks, the fewer groups.
+
+Distinct choices give the same R only at q = 3, where 2**3 = 3**2 - 1
+(three linear factors or one quadratic), and then one of the two is in
+``free``.  At q = 2 every node is in the full group.  At q >= 3 level
+d = 1 closes every mask, so a node outside it has no degree-1 factor, and
+R determines such a choice.  For two of them with one R, take the largest
+degree D where they differ: the factors above D agree and cancel.  For
+D >= 3, Zsigmondy's theorem gives q**D - 1 a prime that divides no
+q**e - 1 with e < D, so its valuation fixes m_D; at D = 2 only
+(q**2 - 1)**m_2 is left.  (With degree 1 allowed, the descent ends at
+(q - 1)**(m_1 + m_2) * (q + 1)**m_2, which fixes m_2 unless q + 1 and
+q - 1 are both powers of 2: q = 3.)  So the R that ``free`` holds are
+dropped from the other groups, and no value is ever deduplicated.
 
 The values then fall into runs of R: ``free`` holds the R that admit every
 j, so R * q**j <= y is the only cut on them, and run_j the other R that
@@ -131,30 +142,20 @@ def _runs(y: int, spec: FieldSpec) -> tuple[list[int], list[list[int]]]:
     # 2**d - 1 and 2**(d mod 61) - 1 agree
     free = [r for r, after in zip(found, found[1:]) if r != after]
     free += found[-1:]
-    # The other R once each, with the OR of the masks of its choices, and
-    # grouped again by that mask; an R in free drops out (mask 0: every
-    # mask holds j = 0).  A mask bit past an R's own room is cut below.
-    pairs = [(r, mask) for mask, group in groups.items() for r in group]
-    pairs.sort()
-    by_mask: dict[int, list[int]] = {}
-    last, last_mask = 0, 0
-    for r, mask in pairs:
-        if r == last:
-            last_mask |= mask
-            continue
-        if last_mask:
-            by_mask.setdefault(last_mask, []).append(last)
-        i = bisect_right(free, r)
-        last, last_mask = r, 0 if i and free[i - 1] == r else mask
-    if last_mask:
-        by_mask.setdefault(last_mask, []).append(last)
+    # Outside the full group each R has one choice (module docstring), so
+    # only an R that free also holds can repeat there: drop those.  A node
+    # has R >= q - 1, which free holds, so an R below all of free reads
+    # free[-1], which is larger.
+    for mask, group in groups.items():
+        groups[mask] = [r for r in group
+                        if free[bisect_right(free, r) - 1] != r]
     runs = []
     for j in range(j_top + 1):
         top = y // q**j
         run = []
-        for mask, rs in by_mask.items():
+        for mask, group in groups.items():
             if mask >> j & 1:
-                run += rs[:bisect_right(rs, top)]
+                run += group[:bisect_right(group, top)]
         run.sort()
         runs.append(run)
     return free, runs

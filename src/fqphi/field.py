@@ -249,11 +249,6 @@ class FieldSpec:
 
         return _mk(self, (0, 1))
 
-    def poly(self, coeffs) -> "Poly":
-        from .gfpoly import Poly
-
-        return Poly(self, coeffs)
-
     def constant(self, code: int) -> "Poly":
         from .gfpoly import Poly
 

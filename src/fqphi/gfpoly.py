@@ -116,9 +116,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
     def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -485,11 +482,6 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?x(?:\^(\d+))?$|^(\d+)$")
 #: 0.23 s and 230 MB, and the list of coefficients grows linearly past that.
 #: Arithmetic on a polynomial near the limit can still take much longer.
 EXPONENT_LIMIT = 10**6
-
-
-def poly_to_text(f: Poly) -> str:
-    """Canonical text: descending degree, zero terms omitted, zero prints 0."""
-    return _coeffs_text(f.coeffs)
 
 
 def parse_poly(spec: FieldSpec, text: str) -> Poly:

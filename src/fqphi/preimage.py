@@ -593,11 +593,9 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
 
 def _uniqueness_condition(reps: list[Representation],
                           spec: FieldSpec) -> bool:
-    # The explicit shape a value must have for its preimage to be unique:
-    # no q-power part, some factor, and every present degree saturated at
-    # pi_q(d); for q = 3 additionally m_1 = m_2.
-    if spec.q == 2:
-        raise ValueError("no uniqueness classification at q = 2")
+    # The explicit shape a value must have at q >= 3 for its preimage to be
+    # unique: no q-power part, some factor, and every present degree
+    # saturated at pi_q(d); for q = 3 additionally m_1 = m_2.
     return any(
         rep.j == 0 and rep.counts
         and all(m == spec.pi(d) for d, m in rep.counts.items())
@@ -648,9 +646,9 @@ def count_profile(n: int, spec: FieldSpec) -> CountProfile:
             f"uniqueness condition mismatch at n = {n}, q = {q}: "
             f"count {count}, condition {unique_shape}")
     threshold = comb(q, 2)
-    if count == 0:
-        label = "empty"
-    elif count == 1:
+    # count >= 1 here: each form counts C(pi_q(d), m_d) >= 1 times the
+    # compositions of its j, and represent admits only a j that has one
+    if count == 1:
         label = "unique"
     elif count == q:
         label = "exactly-q"

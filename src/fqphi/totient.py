@@ -6,8 +6,8 @@ For monic f with m_d distinct monic irreducible divisors of degree d,
 
 which is the factored form everything downstream (collision tests, preimage
 counts, value-set enumeration) operates on.  sigma(f) is the sum of |g| over
-monic divisors g, computed through its product formula, and admits the
-expansion sigma(f) = prod (q**d - 1)**k_d with signed exponents summing to 0.
+monic divisors g, computed through its product formula: a prime power P**e
+of degree d contributes (q**(d(e+1)) - 1) / (q**d - 1).
 
 Both functions are defined on non-constant polynomials and are computed on
 the monic associate, so units never matter.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CounterexampleError
 from .gfpoly import FieldSpec, Poly, factor
 
 
@@ -41,24 +40,6 @@ class PhiValue(NamedTuple):
     j: int
     counts: dict[int, int]
     value: int
-
-
-class SigmaExponents(NamedTuple):
-    """Signed exponents {d: k_d} of the (q**d - 1) expansion of sigma."""
-
-    exps: dict[int, int]
-
-    def evaluate(self, spec: FieldSpec) -> int:
-        num = den = 1
-        for d, k in self.exps.items():
-            if k > 0:
-                num *= (spec.q**d - 1) ** k
-            elif k < 0:
-                den *= (spec.q**d - 1) ** (-k)
-        if num % den:
-            raise CounterexampleError(
-                f"sigma exponent product is not an integer: {self.exps}")
-        return num // den
 
 
 def _require_nonconstant(f: Poly, what: str) -> None:
@@ -109,35 +90,3 @@ def sigma(g: Poly) -> int:
         psize = q**part.degree
         total *= (psize ** (exp + 1) - 1) // (psize - 1)
     return total
-
-
-def sigma_exponents(g: Poly) -> SigmaExponents:
-    """Exponent vector of sigma(g) over the basis q**d - 1.
-
-    Each prime power P**e with deg P = d contributes +1 at d*(e+1) and -1
-    at d.  Three structural facts are enforced on the result: the exponents
-    sum to zero, no negative exponent exceeds pi_q(d) in magnitude, and every
-    negative entry at d is answered by a positive entry at some multiple of d.
-    """
-    _require_nonconstant(g, "sigma_exponents")
-    spec = g.field
-    exps: dict[int, int] = {}
-    for part, exp in factor(g.monic()):
-        d = part.degree
-        top = d * (exp + 1)
-        exps[top] = exps.get(top, 0) + 1
-        exps[d] = exps.get(d, 0) - 1
-    exps = {d: k for d, k in exps.items() if k}
-    if sum(exps.values()) != 0:
-        raise CounterexampleError(f"sigma exponents do not sum to 0: {exps}")
-    for d, k in exps.items():
-        if k < 0 and -k > spec.pi(d):
-            raise CounterexampleError(
-                f"sigma exponent k_{d} = {k} below -pi_q({d}) = {-spec.pi(d)}")
-        if k < 0 and not any(
-            j % d == 0 and kj > 0 for j, kj in exps.items()
-        ):
-            raise CounterexampleError(
-                f"negative sigma exponent at {d} with no positive multiple: "
-                f"{exps}")
-    return SigmaExponents(exps)

@@ -174,6 +174,50 @@ def test_value_sets_are_pinned(field):
     assert tuple(d.hexdigest() for d in digests) == PINS[field]
 
 
+def choices_by_part(y, spec):
+    """R -> the choices {d: m_d} with R = prod (q**d - 1)**m_d <= y, by a
+    recursion over the degrees of its own, as in ``reference_values``."""
+    q = spec.q
+    parts = {}
+
+    def rec(d, r, choice):
+        if d == 0:
+            if choice:
+                parts.setdefault(r, []).append(choice)
+            return
+        rec(d - 1, r, choice)
+        b = q**d - 1
+        m = 0
+        while m < spec.pi(d) and r * b <= y:
+            r *= b
+            m += 1
+            rec(d - 1, r, {**choice, d: m})
+
+    rec(ilog(y + 1, q), 1, {})
+    return parts
+
+
+@pytest.mark.parametrize(
+    "spec", REFERENCE_FIELDS + [FieldSpec(13), FieldSpec(31)], ids=repr)
+def test_a_part_fixes_its_choice_without_degree_1(spec):
+    # the lemma that lets _runs keep one mask per R outside the full group:
+    # choices with no degree-1 factor never share an R, and at q = 3 a
+    # shared R is three linear factors against one quadratic
+    shared = [choices for choices in choices_by_part(10**9, spec).values()
+              if len(choices) > 1]
+    for choices in shared:
+        assert sum(1 not in choice for choice in choices) <= 1, choices
+    if spec.q == 3:
+        assert shared
+        for choices in shared:
+            assert len(choices) == 2, choices
+            without_1, with_1 = sorted(choices, key=lambda c: 1 in c)
+            assert 1 not in without_1 and with_1[1] == 3, choices
+            assert without_1[2] == with_1.get(2, 0) + 1, choices
+    elif spec.q > 3:
+        assert not shared
+
+
 class TestNodeLimit:
     def test_one_node_per_coprime_part_at_q2(self, F2, monkeypatch):
         # x and x + 1 stay out of the walk, so the nodes are the distinct

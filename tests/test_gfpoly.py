@@ -20,7 +20,6 @@ from fqphi import (
     is_irreducible,
     parse_poly,
     pi_divisibility_holds,
-    poly_to_text,
     powmod,
 )
 from fqphi import field, gfpoly
@@ -148,6 +147,28 @@ class TestTables:
             assert spec._add_table[a][b] == digit_add(a, b, p)
         for a in range(1, spec.q):
             assert spec._ext_mul_direct(a, spec._inv_table[a], mod) == 1
+
+    @pytest.mark.parametrize("p,s,text", [(3, 6, "x^3+400*x+17"),
+                                          (2, 9, "x^3+300*x^2+5")])
+    def test_past_the_table_limit(self, p, s, text):
+        # no tables: add and neg go digit by digit, mul multiplies digits
+        # and inv is a power
+        spec = FieldSpec(p, s)
+        assert spec.q > field._TABLE_LIMIT and spec._add_table is None
+        rng = random.Random(spec.q)
+        for _ in range(300):
+            a, b, c = (rng.randrange(spec.q) for _ in range(3))
+            assert spec.add(a, b) == digit_add(a, b, p)
+            assert spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b),
+                                                           spec.mul(a, c))
+            assert spec.add(a, spec.neg(a)) == 0
+            if a:
+                assert spec.mul(a, spec.inv(a)) == 1
+        f = spec.parse(text)
+        fac = factor(f)
+        assert fac.expand() == f
+        assert [part.degree for part, _ in fac] == [1, 2]
+        assert all(is_irreducible(part) for part, _ in fac)
 
 
 class TestPolyBasics:
@@ -690,4 +711,4 @@ class TestTextForm:
     def test_roundtrip(self, q, data):
         spec = FIELDS[q]
         f = data.draw(polys(spec))
-        assert parse_poly(spec, poly_to_text(f)) == f
+        assert parse_poly(spec, str(f)) == f

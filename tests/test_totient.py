@@ -6,15 +6,16 @@ from fqphi import (
     FieldSpec,
     Signature,
     enumerate_monic,
+    factor,
     gcd,
     phi,
     phi_from_signature,
     sigma,
-    sigma_exponents,
     signature,
 )
 from fqphi.gfpoly import Poly
 from itertools import product
+from typing import NamedTuple
 
 
 def unit_group_order(f):
@@ -147,6 +148,47 @@ class TestMultiplicativity:
                 if gcd(f, g) == one:
                     assert phi(f * g).value == phi(f).value * phi(g).value
                     assert sigma(f * g) == sigma(f) * sigma(g)
+
+
+class SigmaExponents(NamedTuple):
+    """Signed exponents {d: k_d} of the (q**d - 1) expansion of sigma."""
+
+    exps: dict[int, int]
+
+    def evaluate(self, spec):
+        num = den = 1
+        for d, k in self.exps.items():
+            if k > 0:
+                num *= (spec.q**d - 1) ** k
+            elif k < 0:
+                den *= (spec.q**d - 1) ** (-k)
+        assert num % den == 0, f"not an integer: {self.exps}"
+        return num // den
+
+
+def sigma_exponents(g):
+    """Exponent vector of sigma(g) over the basis q**d - 1, the paper's
+    signed form sigma(g) = prod (q**d - 1)**k_d.
+
+    Each prime power P**e with deg P = d contributes +1 at d*(e+1) and -1
+    at d.  Three structural facts are asserted on the result: the exponents
+    sum to zero, no negative exponent exceeds pi_q(d) in magnitude, and every
+    negative entry at d is answered by a positive entry at some multiple of d.
+    """
+    spec = g.field
+    exps = {}
+    for part, exp in factor(g.monic()):
+        d = part.degree
+        top = d * (exp + 1)
+        exps[top] = exps.get(top, 0) + 1
+        exps[d] = exps.get(d, 0) - 1
+    exps = {d: k for d, k in exps.items() if k}
+    assert sum(exps.values()) == 0, exps
+    for d, k in exps.items():
+        if k < 0:
+            assert -k <= spec.pi(d), (d, exps)
+            assert any(j % d == 0 and kj > 0 for j, kj in exps.items()), exps
+    return SigmaExponents(exps)
 
 
 class TestSigmaExponents:

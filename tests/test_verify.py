@@ -1,15 +1,19 @@
-"""The collisions suite of ``verify`` on its sieve-built signature classes.
+"""The collisions suite of ``verify`` on its sieve-built signature classes,
+and the failure rows of the sierpinski and density suites.
 
-The suite reads signatures and phi values by position off the sieve of
-``preimage._sieve_levels`` and runs the criterion once per class pair;
-these tests pin it to the per-pair counts it replaces and show that it
-needs no ``factor`` and decodes no position to a ``Poly``.
+The collisions suite reads signatures and phi values by position off the
+sieve of ``preimage._sieve_levels`` and runs the criterion once per class
+pair; these tests pin it to the per-pair counts it replaces and show that
+it needs no ``factor`` and decodes no position to a ``Poly``.  The last
+two tests break a count or the ceiling and check that every row that
+reads it reports the failure.
 """
 
 import pytest
 
 from fqphi import (
     collision,
+    density,
     enumerate_monic,
     gfpoly,
     phi,
@@ -69,3 +73,28 @@ def test_collisions_suite_decodes_no_position(monkeypatch):
     monkeypatch.setattr(preimage, "_monic", no_monic)
     rows = verify.run_suite("collisions")
     assert len(rows) == 4 and all(row.ok for row in rows), rows
+
+
+def test_sierpinski_suite_reports_a_wrong_count(monkeypatch):
+    # one preimage too many everywhere: every construction misses its
+    # count, and every scan meets a count inside a gap (over F_4 and F_5 a
+    # count 1 or q turns into 2 or q + 1, over F_2 a count 0 into 1)
+    count = preimage.preimage_count
+    monkeypatch.setattr(preimage, "preimage_count",
+                        lambda n, spec: count(n, spec) + 1)
+    rows = verify.run_suite("sierpinski")
+    assert len(rows) == 6 and not any(row.ok for row in rows), rows
+    assert [row.detail.split()[0] for row in rows] == [
+        "failed", "failed", "failed", "violations", "violations",
+        "violations"]
+
+
+def test_density_ceiling_rows_report_a_counterexample(monkeypatch):
+    # a ceiling of 0 makes every checked sample point a counterexample
+    bound = density.density_bound
+    monkeypatch.setattr(density, "density_bound",
+                        lambda y, spec: (bound(y, spec)[0], 0.0))
+    rows = [row for row in verify.run_suite("density")
+            if row.name.startswith("value count ceiling")]
+    assert len(rows) == 4 and not any(row.ok for row in rows), rows
+    assert all("exceeds the ceiling 0.0" in row.detail for row in rows)
