@@ -182,11 +182,11 @@ def intersection_up_to(y: int, spec: FieldSpec) -> list[int]:
 def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
     """A concrete pair (f, g) with phi(f) = sigma(g) = n, if n is a member.
 
-    f comes from the preimage oracle; g from the sieve's sigma values of
-    the monics of degree up to log_q(n), which is exhaustive because
-    sigma(g) >= |g|.  Both take the first match in (degree, coefficient
-    codes) order.  Raises ValueError when the preimage oracle would pass
-    its enumeration limit.
+    f comes from the preimage oracle; g from the sigma values of the
+    monics of degree up to log_q(n) in the same sieve build, which is
+    exhaustive because sigma(g) >= |g|.  Both take the first match in
+    (degree, coefficient codes) order.  Raises ValueError when the
+    preimage oracle would pass its enumeration limit.
     """
     verdict = intersection_member(n, spec)
     if not verdict.member:
@@ -196,8 +196,10 @@ def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
         raise CounterexampleError(
             f"{n} matched family {verdict.family} but has no totient preimage")
     f = preimages[0]
-    for d, (_, sigmas, _, _) in enumerate(
-            preimage._sieve_levels(spec, ilog(n, spec.q)), 1):
+    # preimage_list has just cached the build to degree_bound(n), and
+    # ilog(n, q) <= degree_bound(n): min_phi(ilog(n, q)) <= q**ilog(n, q).
+    top = ilog(n, spec.q)
+    for d, sigmas in enumerate(preimage._sieve_build(spec, top)[1][:top], 1):
         size = spec.q**d
         for pos, value in enumerate(sigmas):
             if value < size:

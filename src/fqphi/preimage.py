@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import lru_cache
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -506,35 +505,78 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         yield smallest, sigmas, phis, cofactors
 
 
-# One build is cached: the erdos suite reads phi and sigma from the same
-# build, and a larger cache only raises peak memory for the values it keeps.
-@lru_cache(maxsize=1)
+#: Most monics ``preimage_list`` enumerates, and most that the sieve cache
+#: keeps over all fields.  At the limit, F_2 to degree 17 (262,142
+#: monics), the listing takes 0.4-0.6 s and 42 MB peak RSS on a shared
+#: 2-core x86-64 host with Python 3.11; no other field's build under the
+#: limit has as many monics.
+LIST_LIMIT = 2**18
+
+# Per field, the deepest sieve build asked for so far: the phi and sigma
+# lists of each degree 1..D, and the value sets of the prefixes read so far.
+# A request of degree <= D reads the first levels, in the order a fresh
+# build would give them; a deeper one rebuilds.  The verify suites ask
+# each field for a few degrees, in one pass and again in the next, and all
+# fit.  The monics kept over all fields stay within LIST_LIMIT: the least
+# recently used fields are dropped to make room before a build, and a
+# build past the limit is not kept.  At the limit, F_2 to degree 17, the
+# kept lists take 15.9 MB (tracemalloc), below the 27.7 MB the build
+# itself peaks at, so the 42 MB peak RSS above does not move.
+_BUILDS: dict[FieldSpec, tuple[list[list[int]], list[list[int]],
+                               dict[int, tuple]]] = {}
+
+
+def _sieve_build(spec: FieldSpec, max_deg: int):
+    """(phis, sigmas, values) of the cached build of ``spec`` to degree
+    max_deg or deeper: the phi and sigma lists per degree from 1, and the
+    memo of ``_sieve_values``."""
+    if max_deg < 0:
+        raise ValueError(f"max_deg must be >= 0, got {max_deg}")
+    build = _BUILDS.pop(spec, None)
+    if build is None or len(build[0]) < max_deg:
+        monics = sum(spec.q**d for d in range(1, max_deg + 1))
+        while _BUILDS and monics + sum(
+                len(phi) for kept in _BUILDS.values()
+                for phi in kept[0]) > LIST_LIMIT:
+            del _BUILDS[next(iter(_BUILDS))]
+        phis: list[list[int]] = []
+        sigmas: list[list[int]] = []
+        for _, sigma, phi, _ in _sieve_levels(spec, max_deg):
+            phis.append(phi)
+            sigmas.append(sigma)
+        build = phis, sigmas, {}
+        if monics > LIST_LIMIT:
+            return build
+    _BUILDS[spec] = build  # last in order: the most recently used
+    return build
+
+
 def _sieve_values(spec: FieldSpec, max_deg: int):
-    phis: list[list[int]] = []
-    counts: Counter[int] = Counter()
-    sigmas: set[int] = set()
-    for _, sigma, phi, _ in _sieve_levels(spec, max_deg):
-        phis.append(phi)
-        counts.update(phi)
-        sigmas.update(sigma)
-    return phis, counts, frozenset(sigmas)
+    phis, sigmas, values = _sieve_build(spec, max_deg)
+    if max_deg not in values:
+        counts: Counter[int] = Counter()
+        for phi in phis[:max_deg]:
+            counts.update(phi)
+        values[max_deg] = counts, frozenset().union(*sigmas[:max_deg])
+    return values[max_deg]
 
 
 def phi_counts(spec: FieldSpec, max_deg: int) -> dict[int, int]:
     """The number of monic polynomials of degree 1..max_deg with each phi
     value, from the sieve without building a ``Poly``.
 
-    The last build is cached with ``sigma_values``; treat the result as
-    read-only.  Values are in order of their first monic in enumeration
-    order.
+    Read from the field's cached sieve build when that reaches max_deg,
+    else from a new build that replaces it, and kept with
+    ``sigma_values``; treat the result as read-only.  Values are in order
+    of their first monic in enumeration order, as from a fresh build.
     """
-    return _sieve_values(spec, max_deg)[1]
+    return _sieve_values(spec, max_deg)[0]
 
 
 def sigma_values(spec: FieldSpec, max_deg: int) -> frozenset[int]:
     """sigma(g) over every monic g of degree 1..max_deg, from the same
-    sieve build (and cache) as phi_counts."""
-    return _sieve_values(spec, max_deg)[2]
+    cached sieve build as phi_counts."""
+    return _sieve_values(spec, max_deg)[1]
 
 
 def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
@@ -551,13 +593,6 @@ def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
         for f, value in zip(enumerate_monic(spec, d), phis):
             table.setdefault(value, []).append(f)
     return table
-
-
-#: Most monics ``preimage_list`` enumerates.  At the limit, F_2 to degree
-#: 17 (262,142 monics), the listing takes 0.3-0.6 s and 42 MB peak RSS on
-#: a shared 2-core x86-64 host with Python 3.11; no other field's build
-#: under the limit has as many monics.
-LIST_LIMIT = 2**18
 
 
 def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
@@ -583,7 +618,8 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
             f"listing the preimages of {n} over F_{spec.q} means enumerating "
             f"at least the {monics} monics up to degree {limit_deg}; the "
             f"limit is {LIST_LIMIT}")
-    phis = _sieve_values(spec, degree_bound(n, spec))[0]
+    bound = degree_bound(n, spec)
+    phis = _sieve_build(spec, bound)[0][:bound]
     return [_monic(spec, d, pos) for d, phi in enumerate(phis, 1)
             for pos, value in enumerate(phi) if value == n]
 

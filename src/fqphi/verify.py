@@ -7,7 +7,9 @@ from its prime factors and reads phi and sigma off the construction,
 without calling ``factor`` or building a ``Poly``.  The preimage, erdos and
 density suites read only values: the number of monics per phi value from
 ``preimage.phi_counts`` and the sigma values from ``preimage.sigma_values``,
-one cached build.  The collision suite reads each monic's signature off
+which keep each field's deepest build and serve shallower requests from it:
+the density suite reads the F_3 build of the erdos suite, and a second pass
+builds nothing.  The collision suite reads each monic's signature off
 the construction by position, takes phi from the sieve's recurrence (not
 from the signature formula), and compares the distinct (signature, phi)
 classes, weighting each class pair by the number of monic pairs in it.

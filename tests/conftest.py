@@ -4,9 +4,11 @@ from fqphi import FieldSpec, preimage
 
 
 @pytest.fixture(autouse=True)
-def no_last_form():
-    # a form left by an earlier test would skip the walk a test observes
+def no_cached_state():
+    # a form or sieve build left by an earlier test would skip the walk or
+    # the build a test observes, and could carry values a fault injected
     preimage._LAST.clear()
+    preimage._BUILDS.clear()
 
 
 @pytest.fixture(scope="session")

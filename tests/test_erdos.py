@@ -396,6 +396,21 @@ class TestWitness:
                 f, g = erdos_witness(n, spec)
                 assert phi(f).value == sigma(g) == n
 
+    def test_one_sieve_build_per_witness(self, monkeypatch, F2, F3):
+        # g's sigma values come from the build preimage_list has cached
+        calls = []
+
+        def counted(spec, max_deg):
+            calls.append((spec.q, max_deg))
+            return REAL_LEVELS(spec, max_deg)
+
+        monkeypatch.setattr(preimage, "_sieve_levels", counted)
+        for n, spec in ((1905, F2), (52, F3)):
+            erdos_witness(n, spec)
+            preimage._BUILDS.clear()
+        assert calls == [(2, degree_bound(1905, F2)),
+                         (3, degree_bound(52, F3))]
+
 
 REAL_LEVELS = preimage._sieve_levels
 
@@ -411,13 +426,6 @@ def sigma_levels(wrong):
 
 
 class TestWitnessFaults:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        # the cached build would keep the injected sigma values
-        preimage._sieve_values.cache_clear()
-        yield
-        preimage._sieve_values.cache_clear()
-
     def test_sigma_below_size_raises(self, monkeypatch, F2):
         monkeypatch.setattr(preimage, "_sieve_levels", sigma_levels(
             lambda size, sigmas: [size - 1] * len(sigmas)))

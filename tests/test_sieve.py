@@ -5,7 +5,10 @@ never calls ``factor``; ``sieve`` below decodes its positions to ``Poly``
 objects.  These tests keep the two independent routes honest against each
 other, and show that the sieve's own invariant checks fire, both where the
 entries are built as ``Poly`` objects (``phi_table``) and where only the
-values are (``phi_counts``).
+values are (``phi_counts``).  The last tests check the per-field cache
+of sieve builds: a shallower request reads the cached levels as a fresh
+build would give them, a deeper one rebuilds, and the monics kept stay
+within ``LIST_LIMIT``.
 """
 
 import hashlib
@@ -18,16 +21,18 @@ from fqphi import (
     CounterexampleError,
     FieldSpec,
     Poly,
+    degree_bound,
     enumerate_monic,
     factor,
     phi_from_signature,
     phi_counts,
     phi_table,
+    preimage_list,
     sigma,
     sigma_values,
     signature,
 )
-from fqphi import gfpoly, preimage
+from fqphi import gfpoly, preimage, verify
 from fqphi.gfpoly import kron_unpack
 
 # F_11 to degree 3 packs its products in one-byte lanes at the edge
@@ -74,13 +79,6 @@ def sieve_factorization(entry, entries):
         entry = entries[entry.cofactor.coeffs]
     parts[entry.poly.coeffs] += 1
     return sorted(parts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    preimage._sieve_values.cache_clear()
-    yield
-    preimage._sieve_values.cache_clear()
 
 
 @pytest.mark.parametrize("field,max_deg", GRIDS, ids=lambda v: str(v))
@@ -186,8 +184,104 @@ def test_phi_table_lists_in_enumeration_order():
     assert sorted(f for polys in table.values() for f in polys) == order
 
 
+# -- the per-field cache of sieve builds --------------------------------------
+
+# (field, depth of the cached build, n_max) over F_2, F_3, F_4 (Poly.__mul__)
+# and F_5; preimage_list is checked for every n <= n_max, whose degree
+# bounds stay within the depth.
+CACHE_GRIDS = [((2, 1), 8, 40), ((3, 1), 5, 60), ((2, 2), 4, 60),
+               ((5, 1), 3, 40)]
+REAL_LEVELS = preimage._sieve_levels
+
+
+def no_sieve(spec, max_deg):
+    raise AssertionError(f"sieve built over F_{spec.q} to degree {max_deg}")
+
+
+def retained():
+    return sum(len(phi) for phis, _, _ in preimage._BUILDS.values()
+               for phi in phis)
+
+
+@pytest.mark.parametrize("field,depth,n_max", CACHE_GRIDS,
+                         ids=lambda v: str(v))
+def test_shallower_requests_read_the_cached_build(monkeypatch, field, depth,
+                                                  n_max):
+    spec = FieldSpec(*field)
+    assert degree_bound(n_max, spec) <= depth
+    fresh = {}
+    for d in range(depth + 1):
+        preimage._BUILDS.clear()
+        fresh[d] = (list(phi_counts(spec, d).items()),
+                    sigma_values(spec, d))
+    lists = {}
+    for n in range(1, n_max + 1):
+        lists[n] = phi_table(spec, degree_bound(n, spec)).get(n, [])
+    preimage._BUILDS.clear()
+    phi_counts(spec, depth)
+    monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
+    for d in range(depth, -1, -1):
+        # the same values in the same key order as a fresh build
+        assert list(phi_counts(spec, d).items()) == fresh[d][0], d
+        assert sigma_values(spec, d) == fresh[d][1], d
+    for n in range(1, n_max + 1):
+        assert preimage_list(n, spec) == lists[n], n
+
+
+@pytest.mark.parametrize("field,depth", [grid[:2] for grid in CACHE_GRIDS],
+                         ids=lambda v: str(v))
+def test_deeper_request_rebuilds(monkeypatch, field, depth):
+    spec = FieldSpec(*field)
+    expected = list(phi_counts(spec, depth).items())
+    expected_sigmas = sigma_values(spec, depth)
+    preimage._BUILDS.clear()
+    assert phi_counts(spec, depth - 1) != dict(expected)
+    calls = []
+
+    def counted(spec, max_deg):
+        calls.append(max_deg)
+        return REAL_LEVELS(spec, max_deg)
+
+    monkeypatch.setattr(preimage, "_sieve_levels", counted)
+    assert list(phi_counts(spec, depth).items()) == expected
+    assert sigma_values(spec, depth) == expected_sigmas
+    phi_counts(spec, depth - 1)
+    assert calls == [depth]
+
+
+def test_retained_monics_stay_within_the_limit(monkeypatch):
+    F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
+    limit = 190
+    monkeypatch.setattr(preimage, "LIST_LIMIT", limit)
+    phi_counts(F2, 6)   # 126 monics
+    phi_counts(F3, 3)   # 39
+    assert list(preimage._BUILDS) == [F2, F3] and retained() == 165
+    phi_counts(F2, 4)   # a hit: F_2 becomes the most recently used
+    assert list(preimage._BUILDS) == [F3, F2]
+    phi_counts(F5, 2)   # 30 more would pass 190: F_3 goes first
+    assert list(preimage._BUILDS) == [F2, F5] and retained() == 156
+    phi_counts(F3, 4)   # 120: F_2 goes, F_5 stays
+    assert list(preimage._BUILDS) == [F5, F3] and retained() == 150
+    phi_counts(F2, 7)   # 254 monics, past the limit: returned, not kept
+    assert not preimage._BUILDS
+    for q, depth in ((2, 7), (3, 4), (5, 3), (2, 6), (3, 2), (5, 1)):
+        phi_counts(FieldSpec(q), depth)
+        assert retained() <= limit
+
+
+def test_second_verify_pass_builds_no_sieve(monkeypatch):
+    suites = ("preimage", "erdos", "density")
+    first = [verify.run_suite(name) for name in suites]
+    kept = retained()
+    assert kept <= preimage.LIST_LIMIT
+    monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
+    assert [verify.run_suite(name) for name in suites] == first
+    assert retained() == kept
+
+
 # Each invariant check must fire whether the build makes Poly entries or
-# only values; the cache is cleared before every test, so phi_counts builds.
+# only values; conftest clears the cache before every test, so phi_counts
+# builds.
 BUILDS = (phi_table, phi_counts)
 
 
