@@ -16,8 +16,8 @@ from importlib import import_module
 # The public names, by the module that defines each one.
 _EXPORTS = {
     "collision": ("same_phi",),
-    "density": ("DensityReport", "density_bound", "density_report",
-                "density_sweep", "phi_values_up_to"),
+    "density": ("DensityReport", "density_bound", "density_sweep",
+                "phi_values_up_to"),
     "erdos": ("IntersectionVerdict", "erdos_witness", "intersection_member",
               "intersection_up_to"),
     "errors": ("CounterexampleError",),

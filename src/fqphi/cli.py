@@ -370,6 +370,7 @@ def _cmd_density(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import Budgets, run_suite
 
+    _field(args)  # checked as everywhere; the suites fix their own fields
     budgets = Budgets(args.budget_degree, args.budget_n, args.budget_y)
     results = run_suite(args.suite, budgets)
     passed = sum(1 for r in results if r.ok)

@@ -9,12 +9,13 @@ The answer depends only on signatures, never on evaluated integers:
 ``same_phi`` implements exactly that criterion, so testing it against actual
 totient evaluations is a genuine check and not a tautology.  The collisions
 suite of ``verify`` tests it on every monic pair up to its degree grids,
-with signatures and phi values read by position off the sieve of
-``preimage._sieve_levels``: phi there comes from the sieve's recurrence,
-not from the signature formula.  ``tests/test_acceptance.py`` repeats the check with
-``signature`` and ``phi``, i.e. through ``factor``.  The phi classes
-themselves, every monic up to a degree bucketed by its totient value, are
-``preimage.phi_table``.
+with signatures and phi values read by position off the field's cached
+sieve build in ``preimage``, the one brute-force oracle: phi there comes
+from the sieve's recurrence, not from the signature formula.
+``tests/test_acceptance.py`` repeats the check with ``signature`` and
+``phi``, i.e. through ``factor``.  The phi classes themselves, every
+monic up to a degree bucketed by its totient value, are
+``preimage.phi_table``, read off the same cached build.
 """
 
 from __future__ import annotations

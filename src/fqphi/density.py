@@ -189,12 +189,6 @@ def density_bound(y: int, spec: FieldSpec) -> tuple[int, float]:
     return k, 2.0 * spec.q * k * (math.e**2 / 2.0) ** (k / 2.0)
 
 
-def density_report(y: int, spec: FieldSpec) -> DensityReport:
-    """Count totient values up to y and check them against the ceiling."""
-    values = phi_values_up_to(y, spec)
-    return _report_from_count(y, len(values), spec)
-
-
 def _report_from_count(y: int, count: int, spec: FieldSpec) -> DensityReport:
     k, bound = density_bound(y, spec)
     checked = k >= 1

@@ -199,7 +199,7 @@ def erdos_witness(n: int, spec: FieldSpec) -> tuple[Poly, Poly] | None:
     # preimage_list has just cached the build to degree_bound(n), and
     # ilog(n, q) <= degree_bound(n): min_phi(ilog(n, q)) <= q**ilog(n, q).
     top = ilog(n, spec.q)
-    for d, sigmas in enumerate(preimage._sieve_build(spec, top)[1][:top], 1):
+    for d, (_, sigmas, _, _) in enumerate(preimage._sieve_build(spec, top), 1):
         size = spec.q**d
         for pos, value in enumerate(sigmas):
             if value < size:

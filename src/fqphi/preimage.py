@@ -507,57 +507,51 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
 
 #: Most monics ``preimage_list`` enumerates, and most that the sieve cache
 #: keeps over all fields.  At the limit, F_2 to degree 17 (262,142
-#: monics), the listing takes 0.4-0.6 s and 42 MB peak RSS on a shared
+#: monics), the listing takes 0.35-0.5 s and 43 MB peak RSS on a shared
 #: 2-core x86-64 host with Python 3.11; no other field's build under the
 #: limit has as many monics.
 LIST_LIMIT = 2**18
 
-# Per field, the deepest sieve build asked for so far: the phi and sigma
-# lists of each degree 1..D, and the value sets of the prefixes read so far.
-# A request of degree <= D reads the first levels, in the order a fresh
-# build would give them; a deeper one rebuilds.  The verify suites ask
-# each field for a few degrees, in one pass and again in the next, and all
-# fit.  The monics kept over all fields stay within LIST_LIMIT: the least
-# recently used fields are dropped to make room before a build, and a
-# build past the limit is not kept.  At the limit, F_2 to degree 17, the
-# kept lists take 15.9 MB (tracemalloc), below the 27.7 MB the build
-# itself peaks at, so the 42 MB peak RSS above does not move.
-_BUILDS: dict[FieldSpec, tuple[list[list[int]], list[list[int]],
-                               dict[int, tuple]]] = {}
+# Per field, the deepest sieve build asked for so far: each degree 1..D
+# as ``_sieve_levels`` yields it, and the memo of ``_sieve_values``.  Every
+# reader of the sieve goes through ``_sieve_build``: a request of degree
+# <= D reads the first levels, which are the lists a fresh build would
+# give, and a deeper one rebuilds.  The monics kept over all fields stay
+# within LIST_LIMIT: the least recently used fields are dropped to make
+# room before a build, and a build past the limit is not kept.  At the
+# limit, F_2 to degree 17, the kept lists take 20.3 MB (tracemalloc), below
+# the 28.1 MB the build itself peaks at.
+_BUILDS: dict[FieldSpec, tuple[list[tuple], dict[int, tuple]]] = {}
 
 
-def _sieve_build(spec: FieldSpec, max_deg: int):
-    """(phis, sigmas, values) of the cached build of ``spec`` to degree
-    max_deg or deeper: the phi and sigma lists per degree from 1, and the
-    memo of ``_sieve_values``."""
+def _sieve_build(spec: FieldSpec, max_deg: int) -> list[tuple]:
+    """The levels ``(smallest, sigma, phi, cofactor)`` of degree 1..max_deg
+    of the sieve over ``spec``, from the field's cached build."""
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
     build = _BUILDS.pop(spec, None)
     if build is None or len(build[0]) < max_deg:
         monics = sum(spec.q**d for d in range(1, max_deg + 1))
         while _BUILDS and monics + sum(
-                len(phi) for kept in _BUILDS.values()
-                for phi in kept[0]) > LIST_LIMIT:
+                len(phi) for levels, _ in _BUILDS.values()
+                for _, _, phi, _ in levels) > LIST_LIMIT:
             del _BUILDS[next(iter(_BUILDS))]
-        phis: list[list[int]] = []
-        sigmas: list[list[int]] = []
-        for _, sigma, phi, _ in _sieve_levels(spec, max_deg):
-            phis.append(phi)
-            sigmas.append(sigma)
-        build = phis, sigmas, {}
+        build = list(_sieve_levels(spec, max_deg)), {}
         if monics > LIST_LIMIT:
-            return build
+            return build[0]
     _BUILDS[spec] = build  # last in order: the most recently used
-    return build
+    return build[0][:max_deg]
 
 
 def _sieve_values(spec: FieldSpec, max_deg: int):
-    phis, sigmas, values = _sieve_build(spec, max_deg)
+    levels = _sieve_build(spec, max_deg)
+    values = _BUILDS[spec][1] if spec in _BUILDS else {}  # none past the limit
     if max_deg not in values:
         counts: Counter[int] = Counter()
-        for phi in phis[:max_deg]:
+        for _, _, phi, _ in levels:
             counts.update(phi)
-        values[max_deg] = counts, frozenset().union(*sigmas[:max_deg])
+        values[max_deg] = counts, frozenset().union(
+            *(sigma for _, sigma, _, _ in levels))
     return values[max_deg]
 
 
@@ -582,14 +576,14 @@ def sigma_values(spec: FieldSpec, max_deg: int) -> frozenset[int]:
 def phi_table(spec: FieldSpec, max_deg: int) -> dict[int, list[Poly]]:
     """Bucket every monic polynomial of degree 1..max_deg by exact phi value.
 
-    Built from the phi values of the sieve, never by factoring, with a
-    ``Poly`` per monic.  Lists are in enumeration order, i.e. sorted by
-    (degree, coefficient codes).
+    Built from the phi values of the field's cached sieve build, never by
+    factoring, with a ``Poly`` per monic.  Lists are in enumeration order,
+    i.e. sorted by (degree, coefficient codes).
     """
     from .gfpoly import enumerate_monic
 
     table: dict[int, list[Poly]] = {}
-    for d, (_, _, phis, _) in enumerate(_sieve_levels(spec, max_deg), 1):
+    for d, (_, _, phis, _) in enumerate(_sieve_build(spec, max_deg), 1):
         for f, value in zip(enumerate_monic(spec, d), phis):
             table.setdefault(value, []).append(f)
     return table
@@ -618,9 +612,8 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
             f"listing the preimages of {n} over F_{spec.q} means enumerating "
             f"at least the {monics} monics up to degree {limit_deg}; the "
             f"limit is {LIST_LIMIT}")
-    bound = degree_bound(n, spec)
-    phis = _sieve_build(spec, bound)[0][:bound]
-    return [_monic(spec, d, pos) for d, phi in enumerate(phis, 1)
+    levels = _sieve_build(spec, degree_bound(n, spec))
+    return [_monic(spec, d, pos) for d, (_, _, phi, _) in enumerate(levels, 1)
             for pos, value in enumerate(phi) if value == n]
 
 

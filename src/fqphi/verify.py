@@ -4,15 +4,17 @@ against an independent brute-force computation at full desk scale.
 The brute-force side of the collisions, preimage, erdos and density suites
 is the sieve of ``preimage._sieve_levels``, which constructs every monic
 from its prime factors and reads phi and sigma off the construction,
-without calling ``factor`` or building a ``Poly``.  The preimage, erdos and
-density suites read only values: the number of monics per phi value from
-``preimage.phi_counts`` and the sigma values from ``preimage.sigma_values``,
-which keep each field's deepest build and serve shallower requests from it:
-the density suite reads the F_3 build of the erdos suite, and a second pass
-builds nothing.  The collision suite reads each monic's signature off
-the construction by position, takes phi from the sieve's recurrence (not
-from the signature formula), and compares the distinct (signature, phi)
-classes, weighting each class pair by the number of monic pairs in it.
+without calling ``factor`` or building a ``Poly``.  Every suite reads it
+through the per-field cache of ``preimage``, which keeps each field's
+deepest build and serves shallower requests from its first levels: the
+density suite reads the F_3 build of the erdos suite, and a second pass
+builds nothing.  The preimage, erdos and density suites read only values,
+the number of monics per phi value from ``preimage.phi_counts`` and the
+sigma values from ``preimage.sigma_values``.  The collision suite reads
+each monic's signature off the construction by position, takes phi from
+the sieve's recurrence (not from the signature formula), and compares the
+distinct (signature, phi) classes, weighting each class pair by the number
+of monic pairs in it.
 
 Each suite returns a list of CheckResult rows; the CLI prints them and turns
 any failure into a nonzero exit.  Budgets shrink the sweeps for quick runs;
@@ -78,7 +80,7 @@ def _oracle_phi_values(spec: FieldSpec, y: int) -> set[int]:
 
 def _sieve_signatures(spec: FieldSpec, max_deg: int):
     """(signature, phi) for every monic of degree 1..max_deg, in
-    enumeration order, read off ``preimage._sieve_levels`` by position.
+    enumeration order, read off the cached sieve build by position.
 
     The sieve builds a reducible f as P * g with P its smallest prime
     factor, after g.  P divides g exactly when g's smallest factor is P too,
@@ -90,7 +92,7 @@ def _sieve_signatures(spec: FieldSpec, max_deg: int):
     # Per degree below max_deg: each monic's smallest factor and counts.
     built: list[tuple[list[int], list[dict[int, int]]]] = [([], [])]
     for d, (smallest, _, phis, cofactors) in enumerate(
-            preimage._sieve_levels(spec, max_deg), 1):
+            preimage._sieve_build(spec, max_deg), 1):
         degree_of += [d] * spec.pi(d)
         level = []
         for i, phi, k in zip(smallest, phis, cofactors):

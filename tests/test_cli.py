@@ -319,6 +319,15 @@ class TestVerifyCommand:
                              flag, "0")
         assert code == 2 and out == "" and flag in err
 
+    @pytest.mark.parametrize("field,message", [
+        (("--p", "4"), "p must be prime, got 4"),
+        (("--p", "2", "--s", "0"), "s must be >= 1, got 0"),
+    ], ids=["composite-p", "s-zero"])
+    def test_invalid_field(self, capsys, field, message):
+        # the suites fix their own fields, but --p/--s are still checked
+        code, out, err = run(capsys, "verify", "lemmas", *field)
+        assert code == 2 and out == "" and message in err
+
     def test_unknown_suite(self, capsys):
         from fqphi.verify import SUITES
 

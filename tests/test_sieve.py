@@ -6,9 +6,10 @@ objects.  These tests keep the two independent routes honest against each
 other, and show that the sieve's own invariant checks fire, both where the
 entries are built as ``Poly`` objects (``phi_table``) and where only the
 values are (``phi_counts``).  The last tests check the per-field cache
-of sieve builds: a shallower request reads the cached levels as a fresh
-build would give them, a deeper one rebuilds, and the monics kept stay
-within ``LIST_LIMIT``.
+of sieve builds that every reader goes through: each prefix of a cached
+build is a fresh shallower build in all four lists, a deeper request
+rebuilds, the monics kept stay within ``LIST_LIMIT``, and a second pass of
+every verify suite builds nothing.
 """
 
 import hashlib
@@ -199,8 +200,24 @@ def no_sieve(spec, max_deg):
 
 
 def retained():
-    return sum(len(phi) for phis, _, _ in preimage._BUILDS.values()
-               for phi in phis)
+    return sum(len(phi) for levels, _ in preimage._BUILDS.values()
+               for _, _, phi, _ in levels)
+
+
+@pytest.mark.parametrize("field,depth", [grid[:2] for grid in CACHE_GRIDS],
+                         ids=lambda v: str(v))
+def test_every_prefix_is_a_fresh_build(monkeypatch, field, depth):
+    # all four lists of each level: smallest factor, sigma, phi, cofactor
+    spec = FieldSpec(*field)
+    fresh = {}
+    for d in range(depth + 1):
+        preimage._BUILDS.clear()
+        fresh[d] = preimage._sieve_build(spec, d)
+    preimage._BUILDS.clear()
+    preimage._sieve_build(spec, depth)
+    monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
+    for d in range(depth, -1, -1):
+        assert preimage._sieve_build(spec, d) == fresh[d], d
 
 
 @pytest.mark.parametrize("field,depth,n_max", CACHE_GRIDS,
@@ -214,9 +231,7 @@ def test_shallower_requests_read_the_cached_build(monkeypatch, field, depth,
         preimage._BUILDS.clear()
         fresh[d] = (list(phi_counts(spec, d).items()),
                     sigma_values(spec, d))
-    lists = {}
-    for n in range(1, n_max + 1):
-        lists[n] = phi_table(spec, degree_bound(n, spec)).get(n, [])
+    entries = list(sieve(spec, depth))  # a fresh build, past the cache
     preimage._BUILDS.clear()
     phi_counts(spec, depth)
     monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
@@ -225,7 +240,11 @@ def test_shallower_requests_read_the_cached_build(monkeypatch, field, depth,
         assert list(phi_counts(spec, d).items()) == fresh[d][0], d
         assert sigma_values(spec, d) == fresh[d][1], d
     for n in range(1, n_max + 1):
-        assert preimage_list(n, spec) == lists[n], n
+        bound = degree_bound(n, spec)
+        assert preimage_list(n, spec) == [
+            e.poly for e in entries
+            if e.phi == n and e.poly.degree <= bound], n
+        assert phi_table(spec, bound).get(n, []) == preimage_list(n, spec), n
 
 
 @pytest.mark.parametrize("field,depth", [grid[:2] for grid in CACHE_GRIDS],
@@ -270,18 +289,18 @@ def test_retained_monics_stay_within_the_limit(monkeypatch):
 
 
 def test_second_verify_pass_builds_no_sieve(monkeypatch):
-    suites = ("preimage", "erdos", "density")
-    first = [verify.run_suite(name) for name in suites]
+    # every suite, the collisions suite too, reads the cached builds
+    first = verify.run_suite("all")
     kept = retained()
     assert kept <= preimage.LIST_LIMIT
     monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
-    assert [verify.run_suite(name) for name in suites] == first
+    assert verify.run_suite("all") == first
     assert retained() == kept
 
 
-# Each invariant check must fire whether the build makes Poly entries or
-# only values; conftest clears the cache before every test, so phi_counts
-# builds.
+# Each invariant check must reach both kinds of reader, one that builds a
+# Poly per monic and one that reads only values; conftest clears the cache
+# before every test, and a build that raises is not kept, so each builds.
 BUILDS = (phi_table, phi_counts)
 
 

@@ -2,10 +2,10 @@
 and the failure rows of the sierpinski and density suites.
 
 The collisions suite reads signatures and phi values by position off the
-sieve of ``preimage._sieve_levels`` and runs the criterion once per class
-pair; these tests pin it to the per-pair counts it replaces and show that
-it needs no ``factor`` and decodes no position to a ``Poly``.  The last
-two tests break a count or the ceiling and check that every row that
+field's cached sieve build and runs the criterion once per class pair;
+these tests pin it to the per-pair counts it replaces and show that it
+needs no ``factor`` and decodes no position to a ``Poly``.  The last two
+tests break a count or the ceiling and check that every row that
 reads it reports the failure.
 """
 
