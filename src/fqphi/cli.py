@@ -121,7 +121,12 @@ def _cmd_phi(args) -> int:
     from .totient import phi
 
     spec = _field(args)
-    value = phi(parse_poly(spec, args.poly))
+    f = parse_poly(spec, args.poly)
+    what = f"phi(f) for f of degree {f.degree} over F_{spec.q}"
+    # phi(f) >= q**D / (4 D) at degree D: see preimage.degree_bound
+    _refuse_by_degree(what, spec.q, f.degree, 4 * f.degree)
+    value = phi(f)
+    _refuse_unprintable(what, lambda limit: value.value >= 10**limit)
     _emit(
         {
             "value": str(value.value),
@@ -141,7 +146,12 @@ def _cmd_sigma(args) -> int:
 
     spec = _field(args)
     g = parse_poly(spec, args.poly)
-    _emit({"value": str(sigma(g))}, args.format)
+    what = f"sigma(g) for g of degree {g.degree} over F_{spec.q}"
+    # sigma(g) >= q**D: g's monic associate is one of the divisors summed
+    _refuse_by_degree(what, spec.q, g.degree, 1)
+    value = sigma(g)
+    _refuse_unprintable(what, lambda limit: value >= 10**limit)
+    _emit({"value": str(value)}, args.format)
     return 0
 
 
@@ -207,6 +217,15 @@ def _refuse_unprintable(what: str, too_long) -> None:
         raise ValueError(
             f"{what} has more than {limit} decimal digits, the interpreter's "
             f"limit for printing an integer")
+
+
+def _refuse_by_degree(what: str, q: int, degree: int, divisor: int) -> None:
+    # Refuses from the lower bound q**degree / divisor on a value, before
+    # factoring, which can take seconds; a constant (degree 0) is left to
+    # phi and sigma, which refuse it.
+    if degree >= 1:
+        digits = degree * math.log10(q) - math.log10(divisor)
+        _refuse_unprintable(what, lambda limit: digits * (1 - GUARD) > limit)
 
 
 def _cmd_pi(args) -> int:

@@ -194,9 +194,19 @@ def factor_int(n: int) -> dict[int, int]:
 def zsigmondy_has_primitive(a: int, b: int, n: int) -> bool:
     """Whether a**n - b**n has a prime divisor missing from all earlier terms.
 
-    Computed honestly from the factorization; the known exception list
-    ((a,b,n) = (2,1,6), and n = 2 with a + b a power of two) is a theorem
-    about this function, not an input to it.
+    Decided by gcd elimination, without factoring: start from part =
+    a**n - b**n and, for every k < n, divide out g = gcd(part, a**k - b**k),
+    then g = gcd(part, g), until g = 1.  A prime that divides some
+    a**k - b**k with k < n is in g at that k for as long as it divides
+    part, so the loop removes it in full; a prime that divides no earlier
+    term is never in any g.  So part ends as the product of the primitive
+    prime powers, and is > 1 exactly when a primitive prime exists.
+
+    Every k < n is tried, where ``preimage._primitive_part`` tries only
+    k = n/r for the primes r | n (it relies on ord_p(a) dividing n), so
+    this stays a check on ``represent`` that does not share its method.
+    The known exception list ((a,b,n) = (2,1,6), and n = 2 with a + b a
+    power of two) is a theorem about this function, not an input to it.
     """
     if b < 1 or a <= b:
         raise ValueError(f"need a > b >= 1, got a={a}, b={b}")
@@ -204,11 +214,16 @@ def zsigmondy_has_primitive(a: int, b: int, n: int) -> bool:
         raise ValueError(f"need gcd(a, b) = 1, got gcd({a}, {b}) != 1")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    value = a**n - b**n
-    return any(
-        all(pow(a, k, p) != pow(b, k, p) for k in range(1, n))
-        for p in factor_int(value)
-    )
+    part = a**n - b**n
+    a_k = b_k = 1
+    for _ in range(1, n):
+        a_k *= a
+        b_k *= b
+        g = math.gcd(part, a_k - b_k)
+        while g > 1:
+            part //= g
+            g = math.gcd(part, g)
+    return part > 1
 
 
 def stirling_bounds(n: int) -> tuple[float, float]:

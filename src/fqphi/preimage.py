@@ -129,6 +129,11 @@ def _degrees(q: int,
     return values, rows
 
 
+def _form_key(rep: Representation) -> list[tuple[int, int]]:
+    """The order of the forms ``represent`` returns."""
+    return sorted(rep.counts.items())
+
+
 def represent(n: int, spec: FieldSpec) -> list[Representation]:
     """All canonical factored forms of n; empty means n is not a totient value.
 
@@ -161,24 +166,26 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
         raise ValueError(f"need n >= 1, got {n}")
     q, p, s = spec.q, spec.p, spec.s
     v = 0
-    m = n
-    while m % p == 0:
-        m //= p
+    cofactor = n
+    while cofactor % p == 0:
+        cofactor //= p
         v += 1
     if v % s:
         return []  # the p-part cannot come from a power of q
-    j = v // s
-    cofactor = n // q**j
+    j = v // s  # so q**j = p**v, and the cofactor is n / q**j
     if cofactor % (q - 1):
         return []  # every q**d - 1 is a multiple of q - 1 (void at q = 2)
     values, rows = _degrees(q, cofactor)
     first = _FIRST_DEGREE.get(q, 1)
     found: list[Representation] = []
-    # Each path: rows[:stop] remain, largest first, with the remainder and
-    # the multiplicities chosen above them, in descending degree order.
-    paths = [(len(values), cofactor, {})]
-    while paths:
-        stop, rem, counts = paths.pop()
+    # A path: rows[:stop] remain, largest first, with the remainder and the
+    # multiplicities chosen above them, in descending degree order.  The
+    # walk starts on the whole cofactor; the stack holds only the paths
+    # split off at a Zsigmondy exception, taken up once the current path
+    # ends.
+    stop, rem, counts = len(values), cofactor, {}
+    paths: list[tuple[int, int, dict[int, int]]] = []
+    while True:
         i = bisect_right(values, rem, 0, stop)
         while i:
             i -= 1
@@ -187,8 +194,8 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
                 d = first + i
                 row = rows[i] = _primitive_part(q, d), spec.pi(d)
             primitive, cap = row
-            value = values[i]
             if primitive == 1:  # a Zsigmondy exception: branch on m_d
+                value = values[i]
                 branch, m_d = rem, 0
                 while m_d < cap and branch % value == 0:
                     branch //= value
@@ -196,7 +203,8 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
                     paths.append((i, branch, {**counts, first + i: m_d}))
                 continue  # this path goes on with m_d = 0
             if rem % primitive:
-                continue
+                continue  # m_d = 0: no prime of u_d is left
+            value = values[i]
             m_d = 0
             while rem % primitive == 0:
                 rem, uneven = divmod(rem, value)
@@ -212,7 +220,11 @@ def represent(n: int, spec: FieldSpec) -> list[Representation]:
             if rem == 1 and (q == 2 or counts and (
                     not j or reachable_sums(counts, j) >> j & 1)):
                 found.append(Representation(j, counts))
-    found.sort(key=lambda rep: sorted(rep.counts.items()))
+        if not paths:
+            break
+        stop, rem, counts = paths.pop()
+    if len(found) > 1:
+        found.sort(key=_form_key)
     return found
 
 

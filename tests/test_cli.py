@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fqphi import FieldSpec, parse_poly, preimage
+from fqphi import FieldSpec, parse_poly, preimage, totient
 from fqphi.cli import main
 
 
@@ -132,6 +132,47 @@ class TestSamePhiAndPi:
                 assert code == 0 and json.loads(out)["pi"] == str(spec.pi(d))
             else:
                 assert code == 2 and "digits" in err, d
+
+
+class TestValueDigitLimit:
+    """phi and sigma refuse a value past the printing limit: first from a
+    lower bound on it by the degree, before factoring, then exactly,
+    before printing."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("command", ["phi", "sigma"])
+    def test_prints_every_value_within_the_limit(self, capsys, monkeypatch,
+                                                 command, p):
+        # a limit of 30 digits brings both sides of it, and the band that
+        # only the exact check refuses, down to degrees that factor at once
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 30)
+        spec = FieldSpec(p)
+        func = getattr(totient, command)
+        for d in range(int(30 / math.log10(p)) - 3,
+                       int(36 / math.log10(p)) + 1):
+            for poly in (f"x^{d}", f"x^{d}+x^{d - 1}"):
+                value = func(parse_poly(spec, poly))
+                if command == "phi":
+                    value = value.value
+                code, out, err = run(capsys, command, "--p", str(p),
+                                     "--poly", poly)
+                if value < 10**30:
+                    assert code == 0, (poly, err)
+                    assert json.loads(out)["value"] == str(value), poly
+                else:
+                    assert code == 2 and out == "", poly
+                    assert "digits" in err, (poly, err)
+
+    @pytest.mark.parametrize("command,poly", [("phi", "x^100000"),
+                                              ("sigma", "x^20000")])
+    def test_refused_before_factoring(self, capsys, monkeypatch, command,
+                                      poly):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factor called")
+
+        monkeypatch.setattr(totient, "factor", no_factor)
+        code, out, err = run(capsys, command, "--p", "2", "--poly", poly)
+        assert code == 2 and out == "" and "digits" in err
 
 
 class TestPreimageCommand:
@@ -419,6 +460,41 @@ class TestEnumerationLimit:
         refused = self.run_cli(
             "sierpinski", "--p", "2", "--kind", "exact", "--l", str(e + 4))
         assert refused.returncode == 2 and "digits" in refused.stderr
+
+    @pytest.mark.parametrize("command,poly", [("phi", "x^100000"),
+                                              ("sigma", "x^20000")])
+    def test_value_beyond_the_digit_limit(self, command, poly):
+        # each once computed for 1.4 s and 0.16 s, then exited 2 with the
+        # interpreter's own "Exceeds the limit" text as its message
+        proc = run_subprocess(command, "--p", "2", "--poly", poly, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and "digits" in line, line
+        assert "set_int_max_str_digits" not in line
+
+    @pytest.mark.parametrize("command", ["phi", "sigma"])
+    def test_value_at_the_digit_limit(self, command):
+        # x^d over F_10007: the last degree whose value prints, and the
+        # first, refused with one error line
+        limit = sys.get_int_max_str_digits()
+        p = 10007
+
+        def value(d):
+            if command == "phi":
+                return p ** (d - 1) * (p - 1)
+            return (p ** (d + 1) - 1) // (p - 1)
+
+        d = int(limit / math.log10(p)) - 2
+        while value(d + 1) < 10**limit:
+            d += 1
+        printed = self.run_cli(command, "--p", str(p), "--poly", f"x^{d}")
+        assert printed.returncode == 0, printed.stderr
+        assert json.loads(printed.stdout)["value"] == str(value(d))
+        refused = self.run_cli(command, "--p", str(p), "--poly",
+                               f"x^{d + 1}")
+        assert refused.returncode == 2 and refused.stdout == ""
+        [line] = refused.stderr.splitlines()
+        assert line.startswith("error:") and "digits" in line, line
 
     def test_pi_over_a_large_extension(self):
         # the modulus search once walked the 2**59 monics of degree 60

@@ -149,6 +149,36 @@ class TestZsigmondy:
         assert nt.zsigmondy_has_primitive(3, 2, 2) is True
         assert nt.zsigmondy_has_primitive(5, 3, 2) is False
 
+    def test_agrees_with_primitive_set_general_b(self):
+        # the factorization reference of the b = 1 grid, for every b
+        for a in range(2, 15):
+            for b in range(1, a):
+                if math.gcd(a, b) != 1:
+                    continue
+                for n in range(2, 16):
+                    expected = any(
+                        all(pow(a, k, p) != pow(b, k, p) for k in range(1, n))
+                        for p in nt.factor_int(a**n - b**n)
+                    )
+                    assert nt.zsigmondy_has_primitive(a, b, n) == expected, (
+                        a, b, n)
+
+    def test_agrees_with_the_primitive_part(self):
+        # preimage._primitive_part removes the primes of a**(n/r) - 1 for
+        # the primes r | n alone, where zsigmondy_has_primitive tries every
+        # k < n: two gcd walks over different k must find the same primes
+        from fqphi.preimage import _primitive_part
+
+        for a in range(2, 31):
+            for n in range(2, 61):
+                assert nt.zsigmondy_has_primitive(a, 1, n) == (
+                    _primitive_part(a, n) > 1), (a, n)
+
+    def test_past_the_reach_of_factoring(self):
+        # 2**137 - 1 has two prime factors of 20 and 22 digits, which
+        # Pollard rho did not separate within 20 s
+        assert nt.zsigmondy_has_primitive(2, 1, 137) is True
+
 
 class TestStirling:
     @pytest.mark.parametrize("n", [1, 5, 20])

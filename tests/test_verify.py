@@ -1,12 +1,14 @@
 """The collisions suite of ``verify`` on its sieve-built signature classes,
-and the failure rows of the sierpinski and density suites.
+the lemmas suite without factoring, and the failure rows of the
+sierpinski and density suites.
 
 The collisions suite reads signatures and phi values by position off the
 field's cached sieve build and runs the criterion once per class pair;
 these tests pin it to the per-pair counts it replaces and show that it
-needs no ``factor`` and decodes no position to a ``Poly``.  The last two
-tests break a count or the ceiling and check that every row that
-reads it reports the failure.
+needs no ``factor`` and decodes no position to a ``Poly``.  The lemmas
+suite factors no large integer: its primitive-divisor row runs on gcds.
+The last two tests break a count or the ceiling and check that every row
+that reads it reports the failure.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from fqphi import (
     density,
     enumerate_monic,
     gfpoly,
+    numtheory,
     phi,
     preimage,
     signature,
@@ -73,6 +76,21 @@ def test_collisions_suite_decodes_no_position(monkeypatch):
     monkeypatch.setattr(preimage, "_monic", no_monic)
     rows = verify.run_suite("collisions")
     assert len(rows) == 4 and all(row.ok for row in rows), rows
+
+
+def test_lemmas_suite_factors_no_large_integer(monkeypatch):
+    # the primitive-divisor row decides a**n - 1 by gcd elimination; only
+    # small integers (the degrees behind pi_q(d)) may still be factored
+    factor_int = numtheory.factor_int
+
+    def small_only(n):
+        if n > 10**4:
+            raise AssertionError(f"factored {n}")
+        return factor_int(n)
+
+    monkeypatch.setattr(numtheory, "factor_int", small_only)
+    rows = verify.run_suite("lemmas")
+    assert len(rows) == 6 and all(row.ok for row in rows), rows
 
 
 def test_sierpinski_suite_reports_a_wrong_count(monkeypatch):
