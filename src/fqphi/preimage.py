@@ -32,8 +32,9 @@ one of them filled, about 1.2 MB.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import islice
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -272,14 +273,38 @@ def preimage_count(n: int, spec: FieldSpec) -> int:
 # -- degree bound and the brute-force oracle ---------------------------------
 
 
+# Per q: the longest table ``_min_phis`` has made, read-only; a longer one
+# replaces it whole, so a concurrent reader only ever sees a complete table.
+_MIN_PHIS: dict[int, list[int]] = {}
+
+
 def _min_phis(spec: FieldSpec, top: int) -> list[int]:
-    # Entry D is the exact minimum of the factored totient over signature
-    # data of degree D, for D = 0..top: one bounded knapsack on prime weight,
-    # started from the q-power fill q**D of the empty data.  Entry D stays a
-    # value of degree-D data because every update adds weight d to an entry
-    # of weight D - d.  Pass c over degree d allows c factors of it, so it
-    # lowers only entries of weight >= c*d, and after a pass that lowers
-    # nothing the next would lower nothing either.
+    """Entries 0..top, at least, of the exact minimum of the factored
+    totient over signature data of degree D: one bounded knapsack on prime
+    weight, started from the q-power fill q**D of the empty data.
+
+    Entry D stays a value of degree-D data because every update adds
+    weight d to an entry of weight D - d.  Pass c over degree d allows c
+    factors of it: read in descending w, it sets entry w to the smaller of
+    itself and entry w - d times q**d - 1, both as the earlier passes left
+    them, so it writes only entries of weight >= c*d.
+
+    The table kept is the longest made for q, because entry w does not
+    depend on the top.  Let the full run at top T make every pass
+    c <= pi_q(d) over every d <= T.  The run here makes the same entries
+    0..T.  Its cap c <= T // d skips only passes that write above T.  Its
+    early stop skips only passes that lower nothing: let pass c lower
+    nothing in [c*d, T], and let w be in [(c+1)*d, T].  Entry w - d lies
+    in [c*d, T - d], so pass c left it as it was, and entry w stayed at
+    most entry w - d times q**d - 1.  Pass c + 1 compares the same two
+    values and lowers nothing either, and so on for every later pass over
+    d.  In the full run an update reads only entries below the one it
+    writes, and a pass over d > w writes only above w.  So entries 0..w of
+    the full run at T are those of the full run at w, for every T >= w.
+    """
+    best = _MIN_PHIS.get(spec.q)
+    if best is not None and len(best) > top:
+        return best
     q = spec.q
     best = [q**w for w in range(top + 1)]
     for d in range(1, top + 1):
@@ -293,6 +318,7 @@ def _min_phis(spec: FieldSpec, top: int) -> list[int]:
                     lowered = True
             if not lowered:
                 break
+    _MIN_PHIS[q] = best
     return best
 
 
@@ -333,7 +359,7 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
     k = 1
     while q ** (k - 1) <= 4 * (e + k):
         k += 1
-    return bisect_right(_min_phis(spec, e + k), n) - 1
+    return bisect_right(_min_phis(spec, e + k), n, 0, e + k + 1) - 1
 
 
 # Residue -> digit character, so that the lanes of a product read as one
@@ -341,22 +367,25 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
 _DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _lanes_position(value: int, d: int, q: int, digits: bytes) -> int:
-    """Position among the monics of degree d of the product packed in
-    ``value`` with one-byte lanes, or -1 when it is not such a monic.
+def _batch_positions(product: int, d: int, count: int, stride: int, q: int,
+                     digits: bytes) -> list[int] | None:
+    """Positions among the monics of degree d of the ``count`` products
+    packed in ``product`` with one-byte lanes, product t in the ``stride``
+    bytes from byte t * stride; None when one of them is not such a monic.
 
     ``digits`` maps each byte to the digit of its residue mod q, so the d
-    lower lanes, constant term first, are the base-q numeral of the
-    position and the top lane must read 1.  A product that needs more than
-    d + 1 lanes does not fit ``to_bytes``.
+    lower lanes of a product, constant term first, are the base-q numeral
+    of its position.  Lane d must read 1 and lane d + 1, the guard lane,
+    must be 0: a carry out of lane d lands there.  A factor of e + 1 lanes
+    times slots of d - e + 1 lanes each stays below 256**(count * stride),
+    so the batch fits ``to_bytes``.
     """
-    try:
-        lanes = value.to_bytes(d + 1, "little").translate(digits)
-    except OverflowError:
-        return -1
-    if lanes[-1] != 49:  # b"1"
-        return -1
-    return int(lanes[:-1], q)
+    size = count * stride
+    raw = product.to_bytes(size, "little")
+    lanes = raw.translate(digits)
+    if lanes[d::stride] != b"1" * count or raw[d + 1::stride] != bytes(count):
+        return None
+    return [int(lanes[j:j + d], q) for j in range(0, size, stride)]
 
 
 def _codes_position(codes, d: int, q: int) -> int:
@@ -408,16 +437,24 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
 
     give the values without ``factor``, ``is_irreducible`` or any counting
     formula; the only arithmetic trusted is polynomial multiplication.
-    Over a prime field that is the packed kernel of ``gfpoly`` with one
-    lane width for the whole build: each P and each degree's monics are
-    packed once, and a product is one integer multiply.  With one-byte
-    lanes its position is decoded in one step, the lanes read as a base-q
-    numeral; wider lanes go through ``kron_unpack``.  Over an extension
-    field the monics below max_deg are ``Poly`` objects, which
-    ``Poly.__mul__`` multiplies.  Three invariants are checked as each
-    degree is built, and raise CounterexampleError: every product is a
-    monic of degree d, no monic is reached twice, and degree d has exactly
-    pi_q(d) irreducibles.
+
+    Each degree's monics are kept, for the degrees above it, sorted by the
+    index of their smallest factor, so the cofactors g of a given P form a
+    suffix of that order, found by bisection, and those that P divides
+    come first in it.  Over a prime field with one-byte lanes (F_2, F_3,
+    F_5 and F_7 at every depth under LIST_LIMIT, F_11 to degree 3) a
+    degree's monics are packed once into one integer in that order,
+    ``max_deg + 2`` bytes each, which holds a product's lanes and a zero
+    guard lane.  Then the products of one P with the cofactors of one
+    degree are one shift and one multiply, decoded together by
+    ``_batch_positions``: one ``to_bytes``, one ``translate``, and ``int``
+    per position.  Wider lanes multiply each product as packed integers
+    and read it back through ``kron_unpack``; over an extension field the
+    monics are ``Poly`` objects, which ``Poly.__mul__`` multiplies.  Three
+    invariants are checked as each degree is built, and raise
+    CounterexampleError: every product is a monic of degree d, no monic is
+    reached twice (the positions reached number exactly the products
+    made), and degree d has exactly pi_q(d) irreducibles.
     """
     # Imported here, not with the module: only a sieve build needs them.
     from array import array
@@ -430,8 +467,9 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     packed = spec.s == 1
     # One lane width serves the whole build: P has degree <= max_deg // 2.
     width = kron_width(p, max_deg // 2 + 1)
-    digits = (bytes(_DIGITS[v % p] for v in range(256))
-              if packed and width == 1 else None)
+    # Bytes per product in a batch, 0 when products are made one by one.
+    stride = max_deg + 2 if packed and width == 1 else 0
+    digits = bytes(_DIGITS[v % p] for v in range(256))
     shift = 8 * width
     # The irreducibles that can be a smallest factor P, as multiplicands
     # and as positions in their degree; those of degree e have indices
@@ -439,11 +477,47 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     factors: list = []
     places: list[int] = []
     starts = [0, 0]
-    # Per degree below max_deg: its monics as multiplicands (packed over a
-    # prime field), and the smallest factor's index, the prime power
-    # |P|**e exactly dividing, sigma and phi of each.
+    # Per degree below max_deg: its positions sorted by smallest factor,
+    # its monics as multiplicands in that order (one packed integer when
+    # batched), and the smallest factor's index, the prime power |P|**e
+    # exactly dividing, sigma and phi of each.
     levels: list[tuple | None] = [None]
-    monics = [1]  # the monic of degree 0, packed
+    # The monics of the last degree made, in enumeration order: ``block``
+    # holds a slot of stride bytes for each when batched, ``monics`` the
+    # packed integers or Poly objects otherwise.
+    block = b"\x01".ljust(stride, b"\x00")
+    monics: list = [1]
+    mask = (1 << 8 * stride) - 1  # one slot of a batch
+
+    def batches(d, e):
+        """(i, start, positions) for each irreducible P of degree e, index
+        i: the products P * g, g from sorted position ``start`` of degree
+        d - e on, and their positions among the monics of degree d."""
+        order, g_small, multiplicands = levels[d - e][:3]
+        for i in range(starts[e], starts[e + 1]):
+            start = bisect_left(order, i, key=g_small.__getitem__)
+            if stride:
+                window = multiplicands >> 8 * stride * start
+                positions = _batch_positions(
+                    factors[i] * window, d, len(order) - start, stride, q,
+                    digits)
+                if positions is None:  # one by one, to name the product
+                    positions = [(_batch_positions(
+                        factors[i] * (window >> 8 * stride * t & mask), d, 1,
+                        stride, q, digits) or [-1])[0]
+                        for t in range(len(order) - start)]
+            else:
+                positions = [_codes_position(
+                    kron_unpack(factors[i] * g, p, width) if packed
+                    else (factors[i] * g).coeffs, d, q)
+                    for g in multiplicands[start:]]
+            if -1 in positions:
+                k = order[start + positions.index(-1)]
+                raise CounterexampleError(
+                    f"sieve over F_{q}: ({_monic(spec, e, places[i])})*"
+                    f"({_monic(spec, d - e, k)}) is not a monic of degree {d}")
+            yield i, start, positions
+
     for d in range(1, max_deg + 1):
         size = q**d
         # Every monic starts as an irreducible; a product overwrites it.
@@ -455,52 +529,61 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         # alive for as long as a reader holds the degree.
         cofactors = array("l", [-1]) * size
         if d < max_deg:  # the top degree is never a cofactor
-            if packed:
+            if stride:
+                # x * g moves each slot up a lane (its top lane is 0), and
+                # the constant c fills lane 0: enumeration order is c, g.
+                below = int.from_bytes(block, "little") << 8
+                ones = int.from_bytes(b"\x01".ljust(stride, b"\x00")
+                                      * (size // q), "little")
+                block = b"".join((below + c * ones).to_bytes(len(block),
+                                                             "little")
+                                 for c in range(q))
+            elif packed:
                 monics = [c + (t << shift) for c in range(q) for t in monics]
             else:
                 monics = list(enumerate_monic(spec, d))
+        made = 0
         for e in range(1, d // 2 + 1):
-            lo, hi = starts[e], starts[e + 1]
+            order, g_small, _, g_power, g_sigma, g_phi = levels[d - e]
             size_p = q**e
-            g_monics, g_small, g_power, g_sigma, g_phi = levels[d - e]
-            for k, gi in enumerate(g_small):
-                if gi < lo:
-                    continue
-                g = g_monics[k]
-                # P below g's smallest factor: the same values for every P
-                coprime = (size_p, g_sigma[k] * (size_p + 1),
-                           g_phi[k] * (size_p - 1))
-                for i in range(lo, min(hi, gi + 1)):
-                    if digits is not None:
-                        pos = _lanes_position(factors[i] * g, d, q, digits)
-                    elif packed:
-                        pos = _codes_position(kron_unpack(
-                            factors[i] * g, p, width), d, q)
-                    else:
-                        pos = _codes_position((factors[i] * g).coeffs, d, q)
-                    if pos < 0:
-                        raise CounterexampleError(
-                            f"sieve over F_{q}: ({_monic(spec, e, places[i])})"
-                            f"*({_monic(spec, d - e, k)}) is not a monic of "
-                            f"degree {d}")
-                    if smallest[pos] >= 0:
-                        raise CounterexampleError(
-                            f"sieve over F_{q} reached {_monic(spec, d, pos)} "
-                            f"twice")
+            # P below g's smallest factor: the same values for every P of
+            # degree e, kept from the first such g of the first P on
+            tail = bisect_right(order, starts[e], key=g_small.__getitem__)
+            coprime_sigma = [g_sigma[k] * (size_p + 1) for k in order[tail:]]
+            coprime_phi = [g_phi[k] * (size_p - 1) for k in order[tail:]]
+            for i, start, positions in batches(d, e):
+                # the cofactors that P divides come first: one more power
+                mid = bisect_right(order, i, start, key=g_small.__getitem__)
+                for pos, k in zip(positions, order[start:mid]):
+                    pp = g_power[k] * size_p
                     smallest[pos] = i
                     cofactors[pos] = k
-                    if gi == i:  # P already divides g: one more power
-                        pp = g_power[k] * size_p
-                        power[pos] = pp
-                        sigmas[pos] = (g_sigma[k] * (pp * size_p - 1)
-                                       // (pp - 1))
-                        phis[pos] = g_phi[k] * size_p
-                    else:
-                        power[pos], sigmas[pos], phis[pos] = coprime
-            if d == max_deg or 2 * e == d:
-                levels[d - e] = None  # no higher degree has this cofactor
+                    power[pos] = pp
+                    sigmas[pos] = g_sigma[k] * (pp * size_p - 1) // (pp - 1)
+                    phis[pos] = g_phi[k] * size_p
+                for pos, k, sigma, phi in zip(
+                        islice(positions, mid - start, None),
+                        islice(order, mid, None),
+                        islice(coprime_sigma, mid - tail, None),
+                        islice(coprime_phi, mid - tail, None)):
+                    smallest[pos] = i
+                    cofactors[pos] = k
+                    power[pos] = size_p
+                    sigmas[pos] = sigma
+                    phis[pos] = phi
+                made += len(positions)
         # A monic that no product reaches is irreducible.
         unreached = [pos for pos, i in enumerate(smallest) if i < 0]
+        if size - len(unreached) != made:  # name a monic reached twice
+            seen: set[int] = set()
+            for e in range(1, d // 2 + 1):
+                for *_, positions in batches(d, e):
+                    for pos in positions:
+                        if pos in seen:
+                            raise CounterexampleError(
+                                f"sieve over F_{q} reached "
+                                f"{_monic(spec, d, pos)} twice")
+                        seen.add(pos)
         if len(unreached) != spec.pi(d):
             raise CounterexampleError(
                 f"sieve over F_{q} found {len(unreached)} irreducibles of "
@@ -510,16 +593,28 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
             smallest[pos] = index
         starts.append(first + len(unreached))
         if 2 * d <= max_deg:
-            factors += [monics[pos] for pos in unreached]
+            factors += [int.from_bytes(
+                block[pos * stride:(pos + 1) * stride], "little")
+                if stride else monics[pos] for pos in unreached]
             places += unreached
+        if d % 2 == 0:
+            levels[d // 2] = None  # no higher degree has this cofactor
         if d < max_deg:
-            levels.append((monics, smallest, power, sigmas, phis))
+            order = sorted(range(size), key=smallest.__getitem__)
+            if stride:
+                multiplicands = int.from_bytes(b"".join(
+                    [block[k * stride:(k + 1) * stride] for k in order]),
+                    "little")
+            else:
+                multiplicands = [monics[k] for k in order]
+            levels.append((order, smallest, multiplicands, power, sigmas,
+                           phis))
         yield smallest, sigmas, phis, cofactors
 
 
 #: Most monics ``preimage_list`` enumerates, and most that the sieve cache
 #: keeps over all fields.  At the limit, F_2 to degree 17 (262,142
-#: monics), the listing takes 0.35-0.5 s and 43 MB peak RSS on a shared
+#: monics), the listing takes 0.23-0.25 s and 56 MB peak RSS on a shared
 #: 2-core x86-64 host with Python 3.11; no other field's build under the
 #: limit has as many monics.
 LIST_LIMIT = 2**18
@@ -531,8 +626,8 @@ LIST_LIMIT = 2**18
 # give, and a deeper one rebuilds.  The monics kept over all fields stay
 # within LIST_LIMIT: the least recently used fields are dropped to make
 # room before a build, and a build past the limit is not kept.  At the
-# limit, F_2 to degree 17, the kept lists take 20.3 MB (tracemalloc), below
-# the 28.1 MB the build itself peaks at.
+# limit, F_2 to degree 17, the kept lists take 20.2 MiB (tracemalloc),
+# below the 36.6 MiB the build itself peaks at.
 _BUILDS: dict[FieldSpec, tuple[list[tuple], dict[int, tuple]]] = {}
 
 

@@ -5,10 +5,12 @@ from fqphi import FieldSpec, preimage
 
 @pytest.fixture(autouse=True)
 def no_cached_state():
-    # a form or sieve build left by an earlier test would skip the walk or
-    # the build a test observes, and could carry values a fault injected
+    # a form, sieve build or min_phi table left by an earlier test would
+    # skip the walk or the build a test observes, and could carry values a
+    # fault injected
     preimage._LAST.clear()
     preimage._BUILDS.clear()
+    preimage._MIN_PHIS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -505,6 +505,24 @@ class TestDegreeBound:
             assert min_phi(spec, d) == self.exact_weight_min_phi(spec, d), d
 
     @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                       (7, 1), (2, 3), (3, 2), (11, 1),
+                                       (13, 1), (2, 4), (5, 2)])
+    def test_min_phi_table_prefixes_are_fresh_tables(self, field):
+        # the table kept per q is the longest made, and every shorter
+        # request reads its prefix: each must be what a fresh knapsack at
+        # that top gives, early stop included
+        spec = FieldSpec(*field)
+        fresh = []
+        for top in range(61):
+            preimage._MIN_PHIS.clear()
+            fresh.append(preimage._min_phis(spec, top))
+        assert [len(table) for table in fresh] == list(range(1, 62))
+        for top in range(61):
+            table = preimage._min_phis(spec, top)
+            assert table is fresh[60]
+            assert table[:top + 1] == fresh[top], top
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
                                        (7, 1), (3, 2)])
     def test_bound_matches_per_degree_walk(self, field):
         # reference: the walk that ran the knapsack at each degree it passed

@@ -9,7 +9,9 @@ values are (``phi_counts``).  The last tests check the per-field cache
 of sieve builds that every reader goes through: each prefix of a cached
 build is a fresh shallower build in all four lists, a deeper request
 rebuilds, the monics kept stay within ``LIST_LIMIT``, and a second pass of
-every verify suite builds nothing.
+every verify suite builds nothing.  Over a prime field with one-byte lanes
+the sieve makes and decodes its products in batches; the last test holds
+those builds equal to the per-product path that wider lanes take.
 """
 
 import hashlib
@@ -315,19 +317,20 @@ def test_wrong_irreducible_count_raises(monkeypatch):
             build(FieldSpec(2), 4)
 
 
-# A product's position is decoded by preimage._lanes_position over a prime
-# field with one-byte lanes (every prime field of the verify grids), and
-# through kron_unpack with wider lanes (F_13 to degree 2 has two-byte lanes).
-# The fault tests inject at both seams; the sieve reads kron_unpack from
-# gfpoly when it starts, so that is where it is patched.
-REAL_LANES = preimage._lanes_position
+# Over a prime field with one-byte lanes (every prime field of the verify
+# grids) the products of one smallest factor are decoded together by
+# preimage._batch_positions, and one by one when a batch fails; with wider
+# lanes each product goes through kron_unpack (F_13 to degree 2 has
+# two-byte lanes).  The fault tests inject at both seams; the sieve reads
+# kron_unpack from gfpoly when it starts, so that is where it is patched.
+REAL_BATCH = preimage._batch_positions
 
 
-def collapse_lanes(value, d, q, digits):
+def collapse_batch(product, d, count, stride, q, digits):
     # every monic product lands on the last monic of its degree, whose
     # coefficients below x**d are all q - 1
-    pos = REAL_LANES(value, d, q, digits)
-    return pos if pos < 0 else q**d - 1
+    positions = REAL_BATCH(product, d, count, stride, q, digits)
+    return None if positions is None else [q**d - 1] * count
 
 
 def collapse_codes(value, p, width):
@@ -336,8 +339,8 @@ def collapse_codes(value, p, width):
 
 def test_monic_reached_twice_raises(monkeypatch):
     # a decoding that puts every product of a degree at one monic: the
-    # second product lands on a monic the sieve has already reached
-    monkeypatch.setattr(preimage, "_lanes_position", collapse_lanes)
+    # positions reached number fewer than the products made
+    monkeypatch.setattr(preimage, "_batch_positions", collapse_batch)
     for build in BUILDS:
         with pytest.raises(CounterexampleError,
                            match=r"reached x\^2\+x\+1 twice"):
@@ -345,8 +348,8 @@ def test_monic_reached_twice_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("field,seam,collapse,monic", [
-    ((3, 1), "_lanes_position", collapse_lanes, r"x\^2\+2\*x\+2"),
-    ((5, 1), "_lanes_position", collapse_lanes, r"x\^2\+4\*x\+4"),
+    ((3, 1), "_batch_positions", collapse_batch, r"x\^2\+2\*x\+2"),
+    ((5, 1), "_batch_positions", collapse_batch, r"x\^2\+4\*x\+4"),
     ((13, 1), "kron_unpack", collapse_codes, r"x\^2"),
 ], ids=["F3-lanes", "F5-lanes", "F13-kron_unpack"])
 def test_monic_reached_twice_raises_on_each_seam(monkeypatch, field, seam,
@@ -365,10 +368,12 @@ def test_monic_reached_twice_raises_on_each_seam(monkeypatch, field, seam,
     lambda value, d: value - (1 << 8 * d),        # top lane 0: degree d - 1
 ])
 def test_product_not_monic_of_degree_d_raises(monkeypatch, wrong):
-    def broken(value, d, q, digits):
-        return REAL_LANES(wrong(value, d), d, q, digits)
+    # the first product of each batch goes wrong, and over F_3 to degree 2
+    # the first batch starts with x * x; so does the search one by one
+    def broken(product, d, count, stride, q, digits):
+        return REAL_BATCH(wrong(product, d), d, count, stride, q, digits)
 
-    monkeypatch.setattr(preimage, "_lanes_position", broken)
+    monkeypatch.setattr(preimage, "_batch_positions", broken)
     for build in BUILDS:
         with pytest.raises(CounterexampleError,
                            match=r"\(x\)\*\(x\) is not a monic of degree 2"):
@@ -399,3 +404,24 @@ def test_extension_field_products_checked(monkeypatch):
         with pytest.raises(CounterexampleError,
                            match="not a monic of degree 2"):
             build(spec, 2)
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 12), (3, 7), (5, 6), (7, 5),
+                                       (11, 3), (13, 3)])
+def test_batches_match_the_per_product_path(monkeypatch, q, max_deg):
+    # with kron_width forced to two-byte lanes every product is made and
+    # decoded one by one; F_13 to degree 3 has two-byte lanes either way
+    spec = FieldSpec(q)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return REAL_BATCH(*args)
+
+    monkeypatch.setattr(preimage, "_batch_positions", counted)
+    batched = list(preimage._sieve_levels(spec, max_deg))
+    assert bool(calls) == (q != 13)
+    monkeypatch.setattr(gfpoly, "kron_width", lambda p, length: 2)
+    calls.clear()
+    assert list(preimage._sieve_levels(spec, max_deg)) == batched
+    assert not calls
