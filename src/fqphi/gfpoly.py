@@ -421,20 +421,24 @@ def _equal_degree(g: Poly, d: int) -> list[Poly]:
 
 
 def factor(f: Poly) -> Factorization:
-    """Factor into monic irreducibles: squarefree split, then distinct-degree,
-    then equal-degree splitting on random elements from a generator seeded
-    with q and the block's coefficients, so every run does the same work."""
+    """Factor into monic irreducibles: x**v off first (its v trailing zero
+    codes, in linear time), then squarefree split, distinct-degree, and
+    equal-degree splitting on random elements from a generator seeded with
+    q and the block's coefficients, so every run does the same work."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     unit = f.leading()
-    fm = f.monic()
-    if fm.degree == 0:
-        return Factorization(f.field, unit, ())
-    counts: dict[Poly, int] = {}
-    for part, mult in _squarefree_parts(fm):
-        for block, d in _distinct_degree(part):
-            for irr in _equal_degree(block, d):
-                counts[irr] = counts.get(irr, 0) + mult
+    coeffs = f.monic().coeffs
+    v = 0
+    while not coeffs[v]:
+        v += 1
+    counts: dict[Poly, int] = {_mk(f.field, (0, 1)): v} if v else {}
+    fm = _mk(f.field, coeffs[v:])
+    if fm.degree > 0:
+        for part, mult in _squarefree_parts(fm):
+            for block, d in _distinct_degree(part):
+                for irr in _equal_degree(block, d):
+                    counts[irr] = counts.get(irr, 0) + mult
     parts = tuple(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
     return Factorization(f.field, unit, parts)
 

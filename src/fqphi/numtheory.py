@@ -4,21 +4,23 @@ Everything here is exact big-integer arithmetic except the Stirling and
 solution-count bound formulas, which are evaluated in floating point.  Bound
 comparisons apply a relative guard band (``GUARD``) on the strict side, so
 floating-point noise can never turn a false inequality into a pass.
+
+The package factors only small integers (degrees d, and q - 1 <= 255), so
+``factor_int`` is bounded trial division; ``is_prime`` is Baillie-PSW, for a
+field characteristic of any size.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
 from typing import Iterable, Sequence
 
 #: Relative guard band for floating-point bound comparisons.
 GUARD = 1e-9
 
-#: Trial-division ceiling before Pollard rho takes over.  Rho finds a prime
-#: factor p in about sqrt(p) steps, so a larger table buys little and costs
-#: every process that factors: 10**6 would hold 78,498 primes (2.7 MB,
-#: 60 ms to build).
+#: ``factor_int`` trial-divides below this, so it factors every
+#: n < TRIAL_LIMIT**2 = 2**24 in at most 2**11 divisions.  Its inputs are
+#: degrees d (about 14,300 at most for a printable value) and q - 1 <= 255.
 TRIAL_LIMIT = 2**12
 
 # Miller-Rabin witnesses: the first 13 primes.  The least strong pseudoprime
@@ -27,9 +29,6 @@ TRIAL_LIMIT = 2**12
 # Baillie-PSW, which no known composite passes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
-
-_trial_primes: list[int] | None = None
-
 
 def ilog(m: int, b: int) -> int:
     """The largest e with b**e <= m for m >= b, and 0 for every m < b.
@@ -47,15 +46,6 @@ def ilog(m: int, b: int) -> int:
         power *= b
         e += 1
     return e
-
-
-def _primes_to(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, fl in enumerate(sieve) if fl]
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -130,65 +120,34 @@ def is_prime(n: int) -> bool:
     return n < _PSI13 or _strong_lucas(n)
 
 
-def _brent_factor(n: int) -> int:
-    """Nontrivial factor of an odd composite n, deterministic parameters."""
-    for c in count(1):
-        y, m = 2, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            y = ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = math.gcd(abs(x - y), n)
-        if g != n:
-            return g
-    raise AssertionError("unreachable")
-
-
 def factor_int(n: int) -> dict[int, int]:
     """Exact prime factorization {prime: exponent}, keys ascending.
 
-    Trial division by primes up to ``TRIAL_LIMIT``, then Pollard rho (Brent)
-    with a deterministic seed sequence on whatever survives.
+    Trial division by 2 and the odd d < ``TRIAL_LIMIT`` while d * d <= the
+    part left.  A part m < TRIAL_LIMIT**2 left free of primes below
+    TRIAL_LIMIT is 1 or prime: a composite m has a prime factor <= sqrt(m).
+    A part of TRIAL_LIMIT**2 or more raises ``ValueError``; every n < 2**24
+    factors.
     """
     if n < 2:
         raise ValueError(f"factor_int requires n >= 2, got {n}")
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = _primes_to(TRIAL_LIMIT)
-    out: dict[int, int] = {}
-    for p in _trial_primes:
-        if p * p > n:
+    twos = (n & -n).bit_length() - 1
+    out = {2: twos} if twos else {}
+    n >>= twos
+    for d in range(3, TRIAL_LIMIT, 2):
+        if d * d > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n >= TRIAL_LIMIT**2:
+        raise ValueError(
+            f"factor_int: a {n.bit_length()}-bit part has no prime factor "
+            f"below TRIAL_LIMIT = {TRIAL_LIMIT}, which proves it prime only "
+            f"below TRIAL_LIMIT**2")
     if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-            else:
-                d = _brent_factor(m)
-                stack.append(d)
-                stack.append(m // d)
-    return dict(sorted(out.items()))
+        out[n] = 1
+    return out
 
 
 def zsigmondy_has_primitive(a: int, b: int, n: int) -> bool:

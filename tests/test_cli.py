@@ -496,6 +496,19 @@ class TestEnumerationLimit:
         [line] = refused.stderr.splitlines()
         assert line.startswith("error:") and "digits" in line, line
 
+    def test_power_of_x_at_the_digit_limit(self):
+        # phi(x^14285) = 2**14284 is the last power of x over F_2 whose
+        # value prints; its factoring once ran past 20 s, a gcd and a
+        # division per multiplicity, before x**v came off in linear time
+        printed = run_subprocess("phi", "--p", "2", "--poly", "x^14285",
+                                 timeout=10)
+        assert printed.returncode == 0, printed.stderr
+        assert json.loads(printed.stdout) == {
+            "value": str(2**14284), "factored": {"j": 14284, "m": {"1": 1}}}
+        refused = run_subprocess("phi", "--p", "2", "--poly", "x^14286",
+                                 timeout=10)
+        assert refused.returncode == 2 and "digits" in refused.stderr
+
     def test_pi_over_a_large_extension(self):
         # the modulus search once walked the 2**59 monics of degree 60
         # with constant term 0, each divisible by x, before the first

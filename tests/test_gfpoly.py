@@ -439,6 +439,21 @@ class TestFactor:
         assert 0 < len(calls) <= 2 * gfpoly.SPLIT_ATTEMPTS
 
     @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_power_of_x_split_off(self, q):
+        # factor takes x**v off by its trailing zero codes; the rest of
+        # x**v * g must factor as g alone, x never among g's parts
+        spec = FIELDS[q]
+        x = spec.parse("x")
+        rng = random.Random(q)
+        for v in (1, 2, q, q + 1, 257, 1000, 3001):
+            for _ in range(3):
+                g = Poly(spec, [rng.randrange(1, q)] + [
+                    rng.randrange(q) for _ in range(rng.randrange(9))])
+                fac, rest = factor(Poly(spec, (0,) * v + g.coeffs)), factor(g)
+                assert fac.unit == rest.unit == g.leading()
+                assert fac.parts == ((x, v),) + rest.parts, (v, g)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_roundtrip_exhaustive(self, q):
         spec = FIELDS[q]
         for f in monics_up_to(spec, 6):

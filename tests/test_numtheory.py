@@ -1,11 +1,82 @@
 import math
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqphi import numtheory as nt
+
+
+def primes_to(limit):
+    """The primes <= limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i, fl in enumerate(sieve) if fl]
+
+
+TRIAL_PRIMES = primes_to(nt.TRIAL_LIMIT)
+
+
+def brent_factor(n):
+    """A nontrivial factor of an odd composite n: Pollard rho in Brent's
+    form, with deterministic parameters."""
+    for c in count(1):
+        y, m = 2, 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r <<= 1
+        if g == n:
+            g = 1
+            y = ys
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(abs(x - y), n)
+        if g != n:
+            return g
+    raise AssertionError("unreachable")
+
+
+def reference_factor(n):
+    """Full factorization {prime: exponent} of any n >= 2, keys ascending:
+    trial division by the primes below TRIAL_LIMIT, then Pollard-Brent with
+    Baillie-PSW on what survives.  The reference for ``nt.factor_int``, and
+    the factorization for tests of large a**n - b**n, which factor_int
+    refuses."""
+    if n < 2:
+        raise ValueError(f"reference_factor requires n >= 2, got {n}")
+    out = {}
+    for p in TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if nt.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = brent_factor(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def naive_count(weights, budget):
@@ -62,16 +133,45 @@ class TestFactorInt:
         assert list(fac) == sorted(fac)
         assert all(nt.is_prime(p) for p in fac)
 
+    def test_agrees_with_the_reference_below_2_16(self):
+        for n in range(2, 2**16):
+            fac = nt.factor_int(n)
+            assert fac == reference_factor(n) and list(fac) == sorted(fac), n
+
+    @given(st.integers(min_value=2, max_value=2**24 - 1))
+    @settings(max_examples=300)
+    def test_agrees_with_the_reference_below_2_24(self, n):
+        fac = nt.factor_int(n)
+        assert fac == reference_factor(n) and list(fac) == sorted(fac)
+
+    @pytest.mark.parametrize("n", [4099**2, 4099 * 4111, 2**24 + 43,
+                                   2**31 - 1])
+    def test_refuses_a_part_past_the_trial_limit(self, n):
+        # no prime factor below TRIAL_LIMIT, and at least TRIAL_LIMIT**2
+        assert min(reference_factor(n)) > nt.TRIAL_LIMIT
+        assert n >= nt.TRIAL_LIMIT**2
+        with pytest.raises(ValueError, match="TRIAL_LIMIT"):
+            nt.factor_int(n)
+
+    def test_large_inputs_with_small_primes(self):
+        # a part left below TRIAL_LIMIT**2 is 1 or prime, however large n
+        assert nt.factor_int(2**4000) == {2: 4000}
+        assert nt.factor_int(3**50 * 4093**3 * 16777213) == {
+            3: 50, 4093: 3, 16777213: 1}
+
+    # reference_factor stands in for factor_int wherever a test needs a
+    # full factorization past 2**24; these three test it
+
     @given(st.integers(min_value=2, max_value=10**9))
     @settings(max_examples=150)
     def test_product_roundtrip(self, n):
-        fac = nt.factor_int(n)
+        fac = reference_factor(n)
         assert math.prod(p**e for p, e in fac.items()) == n
         assert all(nt.is_prime(p) for p in fac)
 
     def test_large_semiprime(self):
         p, q = 1000003, 1000033
-        assert nt.factor_int(p * q) == {p: 1, q: 1}
+        assert reference_factor(p * q) == {p: 1, q: 1}
 
     @pytest.mark.parametrize("n,expected", [
         (4099**2, {4099: 2}),
@@ -85,7 +185,7 @@ class TestFactorInt:
         # every prime here except 3 lies above TRIAL_LIMIT, so rho must
         # split repeated and near-equal factors
         assert min(p for p in expected if p != 3) > nt.TRIAL_LIMIT
-        assert nt.factor_int(n) == expected
+        assert reference_factor(n) == expected
 
 
 class TestIsPrime:
@@ -93,7 +193,7 @@ class TestIsPrime:
     PSI13 = 3317044064679887385961981
 
     def test_agrees_with_prime_sieve(self):
-        sieve = nt._primes_to(20000)
+        sieve = primes_to(20000)
         assert [n for n in range(20001) if nt.is_prime(n)] == sieve
 
     def test_strong_pseudoprimes_to_the_first_prime_bases(self):
@@ -140,7 +240,7 @@ class TestZsigmondy:
             for n in range(2, 21):
                 expected = any(
                     all(pow(a, k, p) != 1 for k in range(1, n))
-                    for p in nt.factor_int(a**n - 1)
+                    for p in reference_factor(a**n - 1)
                 )
                 assert nt.zsigmondy_has_primitive(a, 1, n) == expected
 
@@ -158,7 +258,7 @@ class TestZsigmondy:
                 for n in range(2, 16):
                     expected = any(
                         all(pow(a, k, p) != pow(b, k, p) for k in range(1, n))
-                        for p in nt.factor_int(a**n - b**n)
+                        for p in reference_factor(a**n - b**n)
                     )
                     assert nt.zsigmondy_has_primitive(a, b, n) == expected, (
                         a, b, n)

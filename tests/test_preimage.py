@@ -35,6 +35,7 @@ from fqphi.numtheory import (
     zsigmondy_has_primitive,
 )
 from test_density import sums_of
+from test_numtheory import reference_factor
 
 F7 = FieldSpec(7)
 F8 = FieldSpec(2, 3)
@@ -53,7 +54,7 @@ def primitive_prime_divisors(a: int, n: int) -> set[int]:
         return set()
     return {
         p
-        for p in factor_int(value)
+        for p in reference_factor(value)
         if all(pow(a, k, p) != 1 for k in range(1, n))
     }
 
@@ -266,7 +267,7 @@ class TestForcedSearch:
                 u = preimage._primitive_part(a, d)
                 value = a**d - 1
                 assert value % u == 0 and gcd(u, value // u) == 1, (a, d)
-                primes = set(factor_int(u)) if u > 1 else set()
+                primes = set(reference_factor(u)) if u > 1 else set()
                 assert primes == primitive_prime_divisors(a, d), (a, d)
                 # so zsigmondy_has_primitive is bool(primitive_prime_divisors)
                 if d >= 2:

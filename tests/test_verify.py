@@ -17,6 +17,7 @@ from fqphi import (
     collision,
     density,
     enumerate_monic,
+    field,
     gfpoly,
     numtheory,
     phi,
@@ -79,18 +80,23 @@ def test_collisions_suite_decodes_no_position(monkeypatch):
 
 
 def test_lemmas_suite_factors_no_large_integer(monkeypatch):
-    # the primitive-divisor row decides a**n - 1 by gcd elimination; only
-    # small integers (the degrees behind pi_q(d)) may still be factored
+    # the lemmas suite's primitive-divisor row decides a**n - 1 by gcd
+    # elimination, and no suite may factor more than small integers (the
+    # degrees behind pi_q(d) and q - 1), far inside factor_int's 2**24
     factor_int = numtheory.factor_int
+    seen = []
 
     def small_only(n):
         if n > 10**4:
             raise AssertionError(f"factored {n}")
+        seen.append(n)
         return factor_int(n)
 
-    monkeypatch.setattr(numtheory, "factor_int", small_only)
-    rows = verify.run_suite("lemmas")
-    assert len(rows) == 6 and all(row.ok for row in rows), rows
+    for module in (numtheory, field, preimage):
+        monkeypatch.setattr(module, "factor_int", small_only)
+    rows = verify.run_suite("all")
+    assert len(rows) == 30 and all(row.ok for row in rows), rows
+    assert seen
 
 
 def test_sierpinski_suite_reports_a_wrong_count(monkeypatch):
