@@ -334,28 +334,32 @@ def _pth_root(f: Poly) -> Poly:
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
-    # f monic, deg >= 1 -> pairwise-coprime monic squarefree parts with
-    # multiplicities, f = prod(part**mult).  Handles derivative-zero inputs
-    # through p-th-root extraction.
-    fld = f.field
-    out: dict[int, Poly] = {}
+    # f monic, deg >= 1 -> monic squarefree parts with multiplicities,
+    # f = prod(part**mult): Yun's loop read mod p (von zur Gathen & Gerhard,
+    # Modern Computer Algebra, 14.6).  With f = prod P**e and b the product of
+    # the P with p not dividing e, step i has d = sum (e - i) P' prod_{Q != P} Q,
+    # so g is the product of the P in b with e = i mod p: the loop ends within
+    # p - 1 steps, and a keeps P**(e - i), a p-th power, for its root.  Parts
+    # may share a prime; factor adds up the multiplicities per irreducible.
     deriv = f.derivative()
-    c = gcd(f, deriv) if not deriv.is_zero() else f
-    w = f // c
+    a = gcd(f, deriv)
+    if a.degree == 0:
+        return [(f, 1)]
+    b, c = f // a, deriv // a
+    parts = []
     i = 1
-    while w.degree > 0:
-        y = gcd(w, c)
-        z = w // y
-        if z.degree > 0:
-            out[i] = out[i] * z if i in out else z
-        w = y
-        c = c // y
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = gcd(b, d)
+        if g.degree > 0:
+            parts.append((g, i))
+            a = a // g**(i - 1)
+        b, c = b // g, d // g
         i += 1
-    if c.degree > 0:
-        for part, mult in _squarefree_parts(_pth_root(c)):
-            key = mult * fld.p
-            out[key] = out[key] * part if key in out else part
-    return [(g, m) for m, g in sorted(out.items())]
+    if a.degree > 0:
+        parts += [(h, f.field.p * m)
+                  for h, m in _squarefree_parts(_pth_root(a))]
+    return parts
 
 
 def _distinct_degree(g: Poly) -> Iterator[tuple[Poly, int]]:
@@ -421,21 +425,16 @@ def _equal_degree(g: Poly, d: int) -> list[Poly]:
 
 
 def factor(f: Poly) -> Factorization:
-    """Factor into monic irreducibles: x**v off first (its v trailing zero
-    codes, in linear time), then squarefree split, distinct-degree, and
+    """Factor into monic irreducibles: squarefree split (Yun's loop, its
+    steps bounded by p whatever the multiplicities), distinct-degree, and
     equal-degree splitting on random elements from a generator seeded with
     q and the block's coefficients, so every run does the same work."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     unit = f.leading()
-    coeffs = f.monic().coeffs
-    v = 0
-    while not coeffs[v]:
-        v += 1
-    counts: dict[Poly, int] = {_mk(f.field, (0, 1)): v} if v else {}
-    fm = _mk(f.field, coeffs[v:])
-    if fm.degree > 0:
-        for part, mult in _squarefree_parts(fm):
+    counts: dict[Poly, int] = {}
+    if f.degree > 0:
+        for part, mult in _squarefree_parts(f.monic()):
             for block, d in _distinct_degree(part):
                 for irr in _equal_degree(block, d):
                     counts[irr] = counts.get(irr, 0) + mult

@@ -469,7 +469,7 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     width = kron_width(p, max_deg // 2 + 1)
     # Bytes per product in a batch, 0 when products are made one by one.
     stride = max_deg + 2 if packed and width == 1 else 0
-    digits = bytes(_DIGITS[v % p] for v in range(256))
+    digits = bytes(_DIGITS[v % p] for v in range(256)) if stride else b""
     shift = 8 * width
     # The irreducibles that can be a smallest factor P, as multiplicands
     # and as positions in their degree; those of degree e have indices

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -196,6 +197,13 @@ class TestPreimageCommand:
         code, payload = run_json(
             capsys, "preimage", "profile", "--p", "5", "--n", "4")
         assert code == 0 and payload == {"count": "5", "class": "exactly-q"}
+
+    def test_list_over_a_large_prime(self, capsys):
+        # phi(x + c) = 256 for each of the 257 codes c; over F_p with
+        # p >= 37 the sieve once raised IndexError, with a traceback
+        code, payload = run_json(
+            capsys, "preimage", "list", "--p", "257", "--n", "256")
+        assert code == 0 and payload["count"] == "257"
 
 
 # Values of n far past the printing limit.  Each was once built in full
@@ -499,7 +507,7 @@ class TestEnumerationLimit:
     def test_power_of_x_at_the_digit_limit(self):
         # phi(x^14285) = 2**14284 is the last power of x over F_2 whose
         # value prints; its factoring once ran past 20 s, a gcd and a
-        # division per multiplicity, before x**v came off in linear time
+        # division per unit of multiplicity in the square-free split
         printed = run_subprocess("phi", "--p", "2", "--poly", "x^14285",
                                  timeout=10)
         assert printed.returncode == 0, printed.stderr
@@ -508,6 +516,15 @@ class TestEnumerationLimit:
         refused = run_subprocess("phi", "--p", "2", "--poly", "x^14286",
                                  timeout=10)
         assert refused.returncode == 2 and "digits" in refused.stderr
+
+    def test_factor_a_high_power(self):
+        # (x+1)^4095 over F_2 has all 4096 terms, as 4095 = 2^12 - 1; its
+        # square-free split took 2.8 s at one gcd per unit of multiplicity
+        poly = "+".join(f"x^{k}" for k in range(4096))
+        proc = run_subprocess("factor", "--p", "2", "--poly", poly, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "unit": 1, "factors": [{"poly": "x+1", "exp": 4095}]}
 
     def test_pi_over_a_large_extension(self):
         # the modulus search once walked the 2**59 monics of degree 60
@@ -629,3 +646,63 @@ def test_cold_start_imports():
         assert proc.returncode == 0, (case, proc.stderr)
         loaded = set(proc.stdout.splitlines()[-1].split())
         assert loaded == expected, case
+
+
+def probe_argvs(seed, count):
+    """``count`` argv drawn from ``random.Random(seed)``, cycling through
+    the 11 commands: p in {2, 3, 5, 13, 37, 257} with s = 2 only for p <= 5,
+    n and y up to 10**3, d up to 50, l up to 6, polynomials of degree up to
+    12 with 1 to 4 terms."""
+    rng = random.Random(seed)
+    commands = ("phi", "sigma", "factor", "signature", "same-phi", "pi",
+                "preimage", "sierpinski", "erdos", "density", "verify")
+
+    def poly(q):
+        degrees = sorted(rng.sample(range(13), rng.randint(1, 4)))
+        return "+".join(f"{rng.randrange(1, q)}*x^{k}" for k in degrees)
+
+    out = []
+    for i in range(count):
+        command = commands[i % len(commands)]
+        p = rng.choice((2, 3, 5, 13, 37, 257))
+        s = rng.choice((1, 2)) if p <= 5 else 1
+        argv = [command, "--p", str(p), "--s", str(s),
+                "--format", rng.choice(("json", "csv", "text"))]
+        if command in ("phi", "sigma", "factor", "signature"):
+            argv += ["--poly", poly(p**s)]
+        elif command == "same-phi":
+            argv += ["--f", poly(p**s), "--g", poly(p**s)]
+        elif command == "pi":
+            argv += ["--d", str(rng.randint(1, 50))]
+        elif command == "preimage":
+            argv[1:1] = [rng.choice(("count", "list", "profile"))]
+            argv += ["--n", str(rng.randint(1, 1000))]
+        elif command == "sierpinski":
+            argv += ["--kind", rng.choice(("exact", "power", "binomial")),
+                     "--l", str(rng.randint(1, 6))]
+        elif command == "erdos":
+            action = rng.choice(("member", "scan", "witness"))
+            argv[1:1] = [action]
+            argv += ["--y" if action == "scan" else "--n",
+                     str(rng.randint(1, 1000))]
+        elif command == "density":
+            argv += ["--y", str(rng.randint(1, 1000))]
+        else:
+            argv[1:1] = [rng.choice(
+                ("collisions", "preimage", "sierpinski", "erdos", "density",
+                 "lemmas", "all"))]
+        out.append(argv)
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv", [["preimage", "list", "--p", "37", "--n", "36"]]
+    + probe_argvs(38, 23), ids="_".join)
+def test_seeded_probe(capsys, argv):
+    # in-process, so no child processes: every input exits 0, 1 or 2 and
+    # raises nothing; exit 2 ends in one error line with no traceback
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2), (code, err)
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:"), err
+        assert "Traceback" not in err, err

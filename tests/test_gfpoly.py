@@ -440,8 +440,8 @@ class TestFactor:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_power_of_x_split_off(self, q):
-        # factor takes x**v off by its trailing zero codes; the rest of
-        # x**v * g must factor as g alone, x never among g's parts
+        # x**v * g with g(0) != 0 must factor as x**v and g's parts, x never
+        # among g's, however large v is next to deg g
         spec = FIELDS[q]
         x = spec.parse("x")
         rng = random.Random(q)
@@ -452,6 +452,41 @@ class TestFactor:
                 fac, rest = factor(Poly(spec, (0,) * v + g.coeffs)), factor(g)
                 assert fac.unit == rest.unit == g.leading()
                 assert fac.parts == ((x, v),) + rest.parts, (v, g)
+
+    # per q, each base and its factorization as (part, exponent) text:
+    # x^2+x+1 is (x+2)^2 over F_3 and (x+w)(x+w^2) over F_4, w coded 2
+    BASES = {
+        2: {"x+1": [("x+1", 1)], "x^2+x+1": [("x^2+x+1", 1)]},
+        3: {"x+1": [("x+1", 1)], "x^2+x+1": [("x+2", 2)]},
+        4: {"x+1": [("x+1", 1)], "x^2+x+1": [("x+2", 1), ("x+3", 1)]},
+    }
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_high_powers_split(self, q):
+        # multiplicities at, just past and far past powers of p, where the
+        # square-free split moves to the p-th root
+        spec = FIELDS[q]
+        p = spec.p
+        for base, parts in self.BASES[q].items():
+            g = spec.parse(base)
+            for v in (p, p + 1, p * p, p * p + 2, 1000, 3001):
+                fac = factor(g**v)
+                assert fac.unit == 1
+                assert [(str(h), e) for h, e in fac] == [
+                    (h, e * v) for h, e in parts], (base, v)
+        mixed = factor(spec.parse("x^7") * spec.parse("x+1")**2001)
+        assert [(str(h), e) for h, e in mixed] == [("x", 7), ("x+1", 2001)]
+
+    @pytest.mark.parametrize("q,base,v", [(2, "x+1", 4095), (3, "x^2+1", 1000)])
+    def test_high_power_takes_few_gcds(self, q, base, v, monkeypatch):
+        # a split with one gcd per unit of multiplicity made 4,096 and 1,002
+        # calls here; Yun's loop makes at most p - 1 steps per p-th root
+        real, calls = gfpoly.gcd, []
+        monkeypatch.setattr(gfpoly, "gcd",
+                            lambda a, b: calls.append(1) or real(a, b))
+        fac = factor(FIELDS[q].parse(base)**v)
+        assert [(str(h), e) for h, e in fac] == [(base, v)]
+        assert len(calls) < 64
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_roundtrip_exhaustive(self, q):

@@ -39,9 +39,11 @@ from fqphi import gfpoly, preimage, verify
 from fqphi.gfpoly import kron_unpack
 
 # F_11 to degree 3 packs its products in one-byte lanes at the edge
-# (2 * 10**2 = 200 < 256); F_13 to degree 3 needs two-byte lanes.
+# (2 * 10**2 = 200 < 256); F_13 to degree 3 needs two-byte lanes.  F_37
+# has more residues than the batch decoder has digits, which once crashed
+# every build over F_p with p >= 37, though only batched builds read them.
 GRIDS = [((2, 1), 10), ((3, 1), 6), ((2, 2), 4), ((5, 1), 4), ((3, 2), 3),
-         ((11, 1), 3), ((13, 1), 3)]
+         ((11, 1), 3), ((13, 1), 3), ((37, 1), 2)]
 
 
 class SieveEntry(NamedTuple):
