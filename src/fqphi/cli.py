@@ -6,7 +6,8 @@ and emits machine-readable output: JSON by default, CSV or plain text via
 
 Exit codes: 0 on success; 1 when a mathematical check fails or the queried
 value is not in the relevant value set; 2 on usage errors (bad arguments,
-malformed polynomial text, invalid field parameters).
+malformed polynomial text, invalid field parameters) and when the reader
+closes stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 # Each command imports what it runs, so that one process compiles only
@@ -437,12 +439,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
     except CounterexampleError as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the flush at exit now writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before all output", file=sys.stderr)
         return 2
 
 

@@ -227,7 +227,10 @@ class FieldSpec:
             for prime in factor_int(d) if d > 1 else ():
                 terms += [(r * prime, -mu) for r, mu in terms]
             total = sum(mu * self.q ** (d // r) for r, mu in terms)
-            assert total % d == 0
+            if total % d:  # not an assert: python -O would strip it
+                from .errors import CounterexampleError
+                raise CounterexampleError(
+                    f"pi_q({d}): Moebius sum {total} not divisible by {d}")
             cached = total // d
             self._pi_cache[d] = cached
         return cached

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -45,6 +45,8 @@ from .numtheory import compositions, factor_int, ilog
 # Counting needs no polynomial arithmetic: the sieve and the functions that
 # build a Poly import from gfpoly when they run.
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .gfpoly import Poly
 
 
@@ -363,8 +365,11 @@ def degree_bound(n: int, spec: FieldSpec) -> int:
 
 
 # Residue -> digit character, so that the lanes of a product read as one
-# base-q numeral; one-byte lanes need (p - 1)**2 < 256, so p <= 13.
-_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+# base-q numeral.  The sieve batches over F_p exactly when p has a digit
+# here: P of degree e <= d/2 times a cofactor has lanes <= (e + 1)(p - 1)**2,
+# one byte to degree 29 over F_5 and 13 over F_7 (further over F_2 and F_3),
+# and the next degree has 5**30 or 7**14 monics, far more than can be held.
+_DIGITS = b"0123456"
 
 
 def _batch_positions(product: int, d: int, count: int, stride: int, q: int,
@@ -416,13 +421,13 @@ def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
     return _mk(spec, _monic_codes(spec.q, d, pos))
 
 
-def _sieve_levels(spec: FieldSpec, max_deg: int):
-    """Every monic of degree 1..max_deg, built from its prime factors by a
-    sieve over unique factorization in F_q[x], one degree d at a time as
-    flat lists ``(smallest, sigma, phi, cofactor)`` indexed by a monic's
-    position in enumeration order: the index of its smallest prime factor
-    P, sigma, phi, and the position of f / P among the monics of degree
-    d - deg P (-1 for an irreducible).
+def _sieve_levels(spec: FieldSpec):
+    """Every monic of degree 1, 2, ..., without end, built from its prime
+    factors by a sieve over unique factorization in F_q[x], one degree d at
+    a time as flat lists ``(smallest, sigma, phi, cofactor)`` indexed by a
+    monic's position in enumeration order: the index of its smallest prime
+    factor P, sigma, phi, and the position of f / P among the monics of
+    degree d - deg P (-1 for an irreducible).
 
     Irreducibles are indexed in (degree, coefficient codes) order, so those
     of degree e follow the pi_q(1) + ... + pi_q(e - 1) of lower degree.
@@ -441,15 +446,15 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     Each degree's monics are kept, for the degrees above it, sorted by the
     index of their smallest factor, so the cofactors g of a given P form a
     suffix of that order, found by bisection, and those that P divides
-    come first in it.  Over a prime field with one-byte lanes (F_2, F_3,
-    F_5 and F_7 at every depth under LIST_LIMIT, F_11 to degree 3) a
-    degree's monics are packed once into one integer in that order,
-    ``max_deg + 2`` bytes each, which holds a product's lanes and a zero
-    guard lane.  Then the products of one P with the cofactors of one
-    degree are one shift and one multiply, decoded together by
-    ``_batch_positions``: one ``to_bytes``, one ``translate``, and ``int``
-    per position.  Wider lanes multiply each product as packed integers
-    and read it back through ``kron_unpack``; over an extension field the
+    come first in it.  That order, the monics as multiplicands and the
+    irreducibles as smallest factors are made after the degree is yielded,
+    so only a deeper request pays for them.  Over F_p with p <= 7 (see
+    ``_DIGITS``) a degree's monics are kept as d + 1 one-byte lanes each, in
+    that order.  The products of one P of degree e with the cofactors of
+    degree d - e are then one shift and one multiply on those lanes spread
+    to d + 2 bytes each, which hold a product's lanes and a zero guard
+    lane, and ``_batch_positions`` decodes them together: one ``to_bytes``,
+    one ``translate``, and ``int`` per position.  Over other fields the
     monics are ``Poly`` objects, which ``Poly.__mul__`` multiplies.  Three
     invariants are checked as each degree is built, and raise
     CounterexampleError: every product is a monic of degree d, no monic is
@@ -459,58 +464,48 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
     # Imported here, not with the module: only a sieve build needs them.
     from array import array
 
-    from .gfpoly import enumerate_monic, kron_unpack, kron_width
+    from .gfpoly import enumerate_monic
 
-    if max_deg < 0:
-        raise ValueError(f"max_deg must be >= 0, got {max_deg}")
     q, p = spec.q, spec.p
-    packed = spec.s == 1
-    # One lane width serves the whole build: P has degree <= max_deg // 2.
-    width = kron_width(p, max_deg // 2 + 1)
-    # Bytes per product in a batch, 0 when products are made one by one.
-    stride = max_deg + 2 if packed and width == 1 else 0
-    digits = bytes(_DIGITS[v % p] for v in range(256)) if stride else b""
-    shift = 8 * width
-    # The irreducibles that can be a smallest factor P, as multiplicands
-    # and as positions in their degree; those of degree e have indices
-    # starts[e]..starts[e+1]-1.
+    batched = spec.s == 1 and p <= len(_DIGITS)
+    digits = bytes(_DIGITS[v % p] for v in range(256)) if batched else b""
+    # The irreducibles made so far, as multiplicands and as positions in
+    # their degree; those of degree e have indices starts[e]..starts[e+1]-1.
     factors: list = []
     places: list[int] = []
     starts = [0, 0]
-    # Per degree below max_deg: its positions sorted by smallest factor,
-    # its monics as multiplicands in that order (one packed integer when
-    # batched), and the smallest factor's index, the prime power |P|**e
-    # exactly dividing, sigma and phi of each.
+    # Per degree that a higher one still reads as a cofactor degree: its
+    # positions sorted by smallest factor, the smallest factor's index, its
+    # monics as multiplicands in that order (packed lanes when batched),
+    # and the prime power |P|**e exactly dividing, sigma and phi of each.
     levels: list[tuple | None] = [None]
-    # The monics of the last degree made, in enumeration order: ``block``
-    # holds a slot of stride bytes for each when batched, ``monics`` the
-    # packed integers or Poly objects otherwise.
-    block = b"\x01".ljust(stride, b"\x00")
-    monics: list = [1]
-    mask = (1 << 8 * stride) - 1  # one slot of a batch
 
     def batches(d, e):
         """(i, start, positions) for each irreducible P of degree e, index
         i: the products P * g, g from sorted position ``start`` of degree
         d - e on, and their positions among the monics of degree d."""
         order, g_small, multiplicands = levels[d - e][:3]
+        if batched:
+            # lane j of every cofactor, from d - e + 1 bytes to d + 2 apart
+            stride, lanes = d + 2, d - e + 1
+            slots = bytearray(len(order) * stride)
+            for j in range(lanes):
+                slots[j::stride] = multiplicands[j::lanes]
+            multiplicands = int.from_bytes(slots, "little")
         for i in range(starts[e], starts[e + 1]):
             start = bisect_left(order, i, key=g_small.__getitem__)
-            if stride:
-                window = multiplicands >> 8 * stride * start
+            if batched:
                 positions = _batch_positions(
-                    factors[i] * window, d, len(order) - start, stride, q,
-                    digits)
+                    factors[i] * (multiplicands >> 8 * stride * start), d,
+                    len(order) - start, stride, q, digits)
                 if positions is None:  # one by one, to name the product
-                    positions = [(_batch_positions(
-                        factors[i] * (window >> 8 * stride * t & mask), d, 1,
+                    positions = [(_batch_positions(factors[i] * int.from_bytes(
+                        slots[t * stride:(t + 1) * stride], "little"), d, 1,
                         stride, q, digits) or [-1])[0]
-                        for t in range(len(order) - start)]
+                        for t in range(start, len(order))]
             else:
-                positions = [_codes_position(
-                    kron_unpack(factors[i] * g, p, width) if packed
-                    else (factors[i] * g).coeffs, d, q)
-                    for g in multiplicands[start:]]
+                positions = [_codes_position((factors[i] * g).coeffs, d, q)
+                             for g in multiplicands[start:]]
             if -1 in positions:
                 k = order[start + positions.index(-1)]
                 raise CounterexampleError(
@@ -518,7 +513,7 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
                     f"({_monic(spec, d - e, k)}) is not a monic of degree {d}")
             yield i, start, positions
 
-    for d in range(1, max_deg + 1):
+    for d in count(1):
         size = q**d
         # Every monic starts as an irreducible; a product overwrites it.
         smallest = [-1] * size
@@ -528,20 +523,6 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         # Machine integers: a list would keep one int object per position
         # alive for as long as a reader holds the degree.
         cofactors = array("l", [-1]) * size
-        if d < max_deg:  # the top degree is never a cofactor
-            if stride:
-                # x * g moves each slot up a lane (its top lane is 0), and
-                # the constant c fills lane 0: enumeration order is c, g.
-                below = int.from_bytes(block, "little") << 8
-                ones = int.from_bytes(b"\x01".ljust(stride, b"\x00")
-                                      * (size // q), "little")
-                block = b"".join((below + c * ones).to_bytes(len(block),
-                                                             "little")
-                                 for c in range(q))
-            elif packed:
-                monics = [c + (t << shift) for c in range(q) for t in monics]
-            else:
-                monics = list(enumerate_monic(spec, d))
         made = 0
         for e in range(1, d // 2 + 1):
             order, g_small, _, g_power, g_sigma, g_phi = levels[d - e]
@@ -592,43 +573,49 @@ def _sieve_levels(spec: FieldSpec, max_deg: int):
         for index, pos in enumerate(unreached, first):
             smallest[pos] = index
         starts.append(first + len(unreached))
-        if 2 * d <= max_deg:
-            factors += [int.from_bytes(
-                block[pos * stride:(pos + 1) * stride], "little")
-                if stride else monics[pos] for pos in unreached]
-            places += unreached
         if d % 2 == 0:
             levels[d // 2] = None  # no higher degree has this cofactor
-        if d < max_deg:
-            order = sorted(range(size), key=smallest.__getitem__)
-            if stride:
-                multiplicands = int.from_bytes(b"".join(
-                    [block[k * stride:(k + 1) * stride] for k in order]),
-                    "little")
-            else:
-                multiplicands = [monics[k] for k in order]
-            levels.append((order, smallest, multiplicands, power, sigmas,
-                           phis))
         yield smallest, sigmas, phis, cofactors
+        # A deeper request: degree d as a cofactor degree, and its
+        # irreducibles as smallest factors.
+        order = sorted(range(size), key=smallest.__getitem__)
+        if batched:
+            # In enumeration order lane j, the code of x**j, is the base-q
+            # digit of the position worth q**(d - 1 - j); lane d is 1.
+            slot = d + 1
+            block = bytearray(b"\x01") * (size * slot)
+            for j in range(d):
+                block[j::slot] = b"".join(
+                    bytes([c]) * q ** (d - 1 - j) for c in range(q)) * q**j
+            multiplicands = b"".join(
+                [block[k * slot:(k + 1) * slot] for k in order])
+            factors += [int.from_bytes(block[k * slot:(k + 1) * slot],
+                                       "little") for k in unreached]
+        else:
+            monics = list(enumerate_monic(spec, d))
+            multiplicands = [monics[k] for k in order]
+            factors += [monics[k] for k in unreached]
+        places += unreached
+        levels.append((order, smallest, multiplicands, power, sigmas, phis))
 
 
 #: Most monics ``preimage_list`` enumerates, and most that the sieve cache
 #: keeps over all fields.  At the limit, F_2 to degree 17 (262,142
-#: monics), the listing takes 0.23-0.25 s and 56 MB peak RSS on a shared
+#: monics), the listing takes 0.25-0.27 s and 55 MB peak RSS on a shared
 #: 2-core x86-64 host with Python 3.11; no other field's build under the
 #: limit has as many monics.
 LIST_LIMIT = 2**18
 
-# Per field, the deepest sieve build asked for so far: each degree 1..D
-# as ``_sieve_levels`` yields it, and the memo of ``_sieve_values``.  Every
-# reader of the sieve goes through ``_sieve_build``: a request of degree
-# <= D reads the first levels, which are the lists a fresh build would
-# give, and a deeper one rebuilds.  The monics kept over all fields stay
-# within LIST_LIMIT: the least recently used fields are dropped to make
-# room before a build, and a build past the limit is not kept.  At the
-# limit, F_2 to degree 17, the kept lists take 20.2 MiB (tracemalloc),
-# below the 36.6 MiB the build itself peaks at.
-_BUILDS: dict[FieldSpec, tuple[list[tuple], dict[int, tuple]]] = {}
+# Per field: its sieve ``_sieve_levels(spec)``, the degrees 1..D it has
+# yielded, and the memo of ``_sieve_values``.  Every reader goes through
+# ``_sieve_build``: a request of degree <= D reads the first levels, which
+# are a fresh build's lists, and a deeper one pulls more from the sieve.
+# The monics kept over all fields stay within LIST_LIMIT: the least
+# recently used fields go first, and a build that passes the limit, or
+# raises, is not kept.  At the limit, F_2 to degree 17, the levels and the
+# sieve's own state take 31.2 MiB (tracemalloc), below the 37.1 MiB the
+# build peaks at.
+_BUILDS: dict[FieldSpec, tuple[Iterator, list[tuple], dict[int, tuple]]] = {}
 
 
 def _sieve_build(spec: FieldSpec, max_deg: int) -> list[tuple]:
@@ -636,23 +623,24 @@ def _sieve_build(spec: FieldSpec, max_deg: int) -> list[tuple]:
     of the sieve over ``spec``, from the field's cached build."""
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-    build = _BUILDS.pop(spec, None)
-    if build is None or len(build[0]) < max_deg:
+    build = _BUILDS.pop(spec, None) or (_sieve_levels(spec), [], {})
+    sieve, levels, _ = build
+    if len(levels) < max_deg:
         monics = sum(spec.q**d for d in range(1, max_deg + 1))
         while _BUILDS and monics + sum(
-                len(phi) for levels, _ in _BUILDS.values()
-                for _, _, phi, _ in levels) > LIST_LIMIT:
+                len(phi) for _, kept, _ in _BUILDS.values()
+                for _, _, phi, _ in kept) > LIST_LIMIT:
             del _BUILDS[next(iter(_BUILDS))]
-        build = list(_sieve_levels(spec, max_deg)), {}
+        levels += islice(sieve, max_deg - len(levels))
         if monics > LIST_LIMIT:
-            return build[0]
+            return levels
     _BUILDS[spec] = build  # last in order: the most recently used
-    return build[0][:max_deg]
+    return levels[:max_deg]
 
 
 def _sieve_values(spec: FieldSpec, max_deg: int):
     levels = _sieve_build(spec, max_deg)
-    values = _BUILDS[spec][1] if spec in _BUILDS else {}  # none past the limit
+    values = _BUILDS[spec][2] if spec in _BUILDS else {}  # none past the limit
     if max_deg not in values:
         counts: Counter[int] = Counter()
         for _, _, phi, _ in levels:
@@ -666,10 +654,10 @@ def phi_counts(spec: FieldSpec, max_deg: int) -> dict[int, int]:
     """The number of monic polynomials of degree 1..max_deg with each phi
     value, from the sieve without building a ``Poly``.
 
-    Read from the field's cached sieve build when that reaches max_deg,
-    else from a new build that replaces it, and kept with
-    ``sigma_values``; treat the result as read-only.  Values are in order
-    of their first monic in enumeration order, as from a fresh build.
+    Read from the field's cached sieve build, extended first when it stops
+    short of max_deg, and kept with ``sigma_values``; treat the result as
+    read-only.  Values are in order of their first monic in enumeration
+    order, as from a fresh build.
     """
     return _sieve_values(spec, max_deg)[0]
 

@@ -5,16 +5,16 @@ The brute-force side of the collisions, preimage, erdos and density suites
 is the sieve of ``preimage._sieve_levels``, which constructs every monic
 from its prime factors and reads phi and sigma off the construction,
 without calling ``factor`` or building a ``Poly``.  Every suite reads it
-through the per-field cache of ``preimage``, which keeps each field's
-deepest build and serves shallower requests from its first levels: the
-density suite reads the F_3 build of the erdos suite, and a second pass
-builds nothing.  The preimage, erdos and density suites read only values,
-the number of monics per phi value from ``preimage.phi_counts`` and the
-sigma values from ``preimage.sigma_values``.  The collision suite reads
-each monic's signature off the construction by position, takes phi from
-the sieve's recurrence (not from the signature formula), and compares the
-distinct (signature, phi) classes, weighting each class pair by the number
-of monic pairs in it.
+through the per-field cache of ``preimage``, which extends one sieve per
+field for deeper requests and serves shallower ones from its first levels:
+a cold pass starts one build per field, and a second pass builds nothing.
+The preimage, erdos and density suites read only values, the number of
+monics per phi value from ``preimage.phi_counts`` and the sigma values
+from ``preimage.sigma_values``.  The collision suite reads each monic's
+signature off the construction by position, takes phi from the sieve's
+recurrence (not from the signature formula), and compares the distinct
+(signature, phi) classes, weighting each class pair by the number of
+monic pairs in it.
 
 Each suite returns a list of CheckResult rows; the CLI prints them and turns
 any failure into a nonzero exit.  Budgets shrink the sweeps for quick runs;

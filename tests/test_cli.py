@@ -398,6 +398,27 @@ def run_subprocess(*argv, timeout=30):
         capture_output=True, text=True, timeout=timeout)
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["print", "flush"])
+def test_closed_stdout_exits_2(unbuffered):
+    # the read end is closed before the child writes: with unbuffered
+    # stdout the print fails, with a buffer the flush does
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fqphi.cli", "preimage", "list", "--p",
+             "37", "--n", "36"], env=env, stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=30)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: stdout closed before all output"]
+
+
 class TestEnumerationLimit:
     """Inputs whose work would not finish, or whose output could not be
     printed, exit 2 at once; each runs in a subprocess with a timeout, so a

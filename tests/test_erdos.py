@@ -400,16 +400,17 @@ class TestWitness:
         # g's sigma values come from the build preimage_list has cached
         calls = []
 
-        def counted(spec, max_deg):
-            calls.append((spec.q, max_deg))
-            return REAL_LEVELS(spec, max_deg)
+        def counted(spec):
+            calls.append(spec.q)
+            return REAL_LEVELS(spec)
 
         monkeypatch.setattr(preimage, "_sieve_levels", counted)
         for n, spec in ((1905, F2), (52, F3)):
             erdos_witness(n, spec)
+            _, levels, _ = preimage._BUILDS[spec]
+            assert len(levels) == degree_bound(n, spec)
             preimage._BUILDS.clear()
-        assert calls == [(2, degree_bound(1905, F2)),
-                         (3, degree_bound(52, F3))]
+        assert calls == [2, 3]
 
 
 REAL_LEVELS = preimage._sieve_levels
@@ -418,9 +419,9 @@ REAL_LEVELS = preimage._sieve_levels
 def sigma_levels(wrong):
     """``_sieve_levels`` with each degree's sigma list replaced by
     wrong(|g|, sigmas) for the monics g of that degree."""
-    def levels(spec, max_deg):
+    def levels(spec):
         for d, (smallest, sigmas, phis, cofactors) in enumerate(
-                REAL_LEVELS(spec, max_deg), 1):
+                REAL_LEVELS(spec), 1):
             yield smallest, wrong(spec.q**d, sigmas), phis, cofactors
     return levels
 

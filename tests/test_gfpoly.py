@@ -727,6 +727,15 @@ class TestPi:
         with pytest.raises(ValueError):
             pi_divisibility_holds(F2, 3)
 
+    def test_sum_not_divisible_raises(self, monkeypatch):
+        # without the prime 3 of d = 6 the sum is 2**6 - 2**3 = 56, no
+        # multiple of 6; the check holds under python -O too
+        monkeypatch.setattr(field, "factor_int", lambda n: {
+            prime: e for prime, e in factor_int(n).items() if prime != 3})
+        with pytest.raises(CounterexampleError,
+                           match="Moebius sum 56 not divisible by 6"):
+            FieldSpec(2).pi(6)
+
 
 class TestTextForm:
     def test_zero(self, F2):

@@ -8,14 +8,17 @@ entries are built as ``Poly`` objects (``phi_table``) and where only the
 values are (``phi_counts``).  The last tests check the per-field cache
 of sieve builds that every reader goes through: each prefix of a cached
 build is a fresh shallower build in all four lists, a deeper request
-rebuilds, the monics kept stay within ``LIST_LIMIT``, and a second pass of
-every verify suite builds nothing.  Over a prime field with one-byte lanes
-the sieve makes and decodes its products in batches; the last test holds
-those builds equal to the per-product path that wider lanes take.
+extends the kept build, a build that raised is never extended again, the
+monics kept stay within ``LIST_LIMIT``, a cold pass of every verify suite
+starts one build per field and a second pass builds nothing.  Over F_p with
+p <= 7 the sieve makes and decodes its products in batches; the last test
+holds those builds equal to the ``Poly.__mul__`` path that every other
+field takes.
 """
 
 import hashlib
 from collections import Counter
+from itertools import islice
 from typing import NamedTuple
 
 import pytest
@@ -38,10 +41,10 @@ from fqphi import (
 from fqphi import gfpoly, preimage, verify
 from fqphi.gfpoly import kron_unpack
 
-# F_11 to degree 3 packs its products in one-byte lanes at the edge
-# (2 * 10**2 = 200 < 256); F_13 to degree 3 needs two-byte lanes.  F_37
-# has more residues than the batch decoder has digits, which once crashed
-# every build over F_p with p >= 37, though only batched builds read them.
+# F_2, F_3 and F_5 batch their products; F_11, F_13 and the extension
+# fields multiply through Poly.__mul__.  F_37 has more residues than the
+# batch decoder has digits, which once crashed every build over F_p with
+# p >= 37, though only batched builds read them.
 GRIDS = [((2, 1), 10), ((3, 1), 6), ((2, 2), 4), ((5, 1), 4), ((3, 2), 3),
          ((11, 1), 3), ((13, 1), 3), ((37, 1), 2)]
 
@@ -63,7 +66,7 @@ def sieve(spec, max_deg):
     decoded to ``Poly`` objects."""
     irreducibles = []
     for d, (smallest, sigmas, phis, cofactors) in enumerate(
-            preimage._sieve_levels(spec, max_deg), 1):
+            islice(preimage._sieve_levels(spec), max_deg), 1):
         for f, i, sig, phi, k in zip(enumerate_monic(spec, d), smallest,
                                      sigmas, phis, cofactors):
             if k < 0:
@@ -199,12 +202,12 @@ CACHE_GRIDS = [((2, 1), 8, 40), ((3, 1), 5, 60), ((2, 2), 4, 60),
 REAL_LEVELS = preimage._sieve_levels
 
 
-def no_sieve(spec, max_deg):
-    raise AssertionError(f"sieve built over F_{spec.q} to degree {max_deg}")
+def no_sieve(spec):
+    raise AssertionError(f"sieve started over F_{spec.q}")
 
 
 def retained():
-    return sum(len(phi) for levels, _ in preimage._BUILDS.values()
+    return sum(len(phi) for _, levels, _ in preimage._BUILDS.values()
                for _, _, phi, _ in levels)
 
 
@@ -253,23 +256,36 @@ def test_shallower_requests_read_the_cached_build(monkeypatch, field, depth,
 
 @pytest.mark.parametrize("field,depth", [grid[:2] for grid in CACHE_GRIDS],
                          ids=lambda v: str(v))
-def test_deeper_request_rebuilds(monkeypatch, field, depth):
+def test_deeper_request_extends_the_build(monkeypatch, field, depth):
     spec = FieldSpec(*field)
+    fresh = preimage._sieve_build(spec, depth)
     expected = list(phi_counts(spec, depth).items())
     expected_sigmas = sigma_values(spec, depth)
     preimage._BUILDS.clear()
     assert phi_counts(spec, depth - 1) != dict(expected)
-    calls = []
-
-    def counted(spec, max_deg):
-        calls.append(max_deg)
-        return REAL_LEVELS(spec, max_deg)
-
-    monkeypatch.setattr(preimage, "_sieve_levels", counted)
+    monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
     assert list(phi_counts(spec, depth).items()) == expected
     assert sigma_values(spec, depth) == expected_sigmas
+    assert preimage._sieve_build(spec, depth) == fresh
     phi_counts(spec, depth - 1)
-    assert calls == [depth]
+
+
+def test_failed_extension_is_not_kept(monkeypatch):
+    # a fault at degree 3 stops the kept degree-2 sieve; the sieve that
+    # raised must not serve the next request, so after the fault is gone
+    # degree 4 is a fresh build's
+    spec = FieldSpec(2)
+    fresh = list(islice(REAL_LEVELS(spec), 4))
+    phi_counts(spec, 2)
+    true_pi = FieldSpec.pi
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldSpec, "pi",
+                      lambda self, d: true_pi(self, d) + (d == 3))
+        with pytest.raises(CounterexampleError,
+                           match="irreducibles of degree 3"):
+            phi_counts(spec, 4)
+    assert spec not in preimage._BUILDS
+    assert preimage._sieve_build(spec, 4) == fresh
 
 
 def test_retained_monics_stay_within_the_limit(monkeypatch):
@@ -287,9 +303,27 @@ def test_retained_monics_stay_within_the_limit(monkeypatch):
     assert list(preimage._BUILDS) == [F5, F3] and retained() == 150
     phi_counts(F2, 7)   # 254 monics, past the limit: returned, not kept
     assert not preimage._BUILDS
+    phi_counts(F2, 6)   # kept, and dropped when extended past the limit
+    assert phi_counts(F2, 7) and not preimage._BUILDS
     for q, depth in ((2, 7), (3, 4), (5, 3), (2, 6), (3, 2), (5, 1)):
         phi_counts(FieldSpec(q), depth)
         assert retained() <= limit
+
+
+def test_cold_verify_pass_starts_one_build_per_field(monkeypatch):
+    # each suite's deeper request extends the field's build: F_2 to 7,
+    # then 10 and 12, F_3 to 5, 6 and 7, F_5 to 3, 4 and 6, F_4 to 4
+    fields = []
+
+    def counted(spec):
+        fields.append(spec.q)
+        return REAL_LEVELS(spec)
+
+    monkeypatch.setattr(preimage, "_sieve_levels", counted)
+    verify.run_suite("all")
+    assert sorted(fields) == [2, 3, 4, 5]
+    assert {spec.q: len(levels) for spec, (_, levels, _)
+            in preimage._BUILDS.items()} == {2: 12, 3: 7, 4: 4, 5: 6}
 
 
 def test_second_verify_pass_builds_no_sieve(monkeypatch):
@@ -319,12 +353,11 @@ def test_wrong_irreducible_count_raises(monkeypatch):
             build(FieldSpec(2), 4)
 
 
-# Over a prime field with one-byte lanes (every prime field of the verify
-# grids) the products of one smallest factor are decoded together by
-# preimage._batch_positions, and one by one when a batch fails; with wider
-# lanes each product goes through kron_unpack (F_13 to degree 2 has
-# two-byte lanes).  The fault tests inject at both seams; the sieve reads
-# kron_unpack from gfpoly when it starts, so that is where it is patched.
+# Over F_p with p <= 7 (every prime field of the verify grids) the products
+# of one smallest factor are decoded together by preimage._batch_positions,
+# and one by one when a batch fails; over F_13 each product is a
+# Poly.__mul__, which reads its lanes back through gfpoly.kron_unpack.  The
+# fault tests inject at both seams.
 REAL_BATCH = preimage._batch_positions
 
 
@@ -411,8 +444,8 @@ def test_extension_field_products_checked(monkeypatch):
 @pytest.mark.parametrize("q,max_deg", [(2, 12), (3, 7), (5, 6), (7, 5),
                                        (11, 3), (13, 3)])
 def test_batches_match_the_per_product_path(monkeypatch, q, max_deg):
-    # with kron_width forced to two-byte lanes every product is made and
-    # decoded one by one; F_13 to degree 3 has two-byte lanes either way
+    # with no digits to decode by, every product is a Poly.__mul__ and is
+    # read back one by one; F_11 and F_13 take that path either way
     spec = FieldSpec(q)
     calls = []
 
@@ -421,9 +454,9 @@ def test_batches_match_the_per_product_path(monkeypatch, q, max_deg):
         return REAL_BATCH(*args)
 
     monkeypatch.setattr(preimage, "_batch_positions", counted)
-    batched = list(preimage._sieve_levels(spec, max_deg))
-    assert bool(calls) == (q != 13)
-    monkeypatch.setattr(gfpoly, "kron_width", lambda p, length: 2)
+    batched = list(islice(preimage._sieve_levels(spec), max_deg))
+    assert bool(calls) == (q <= 7)
+    monkeypatch.setattr(preimage, "_DIGITS", b"")
     calls.clear()
-    assert list(preimage._sieve_levels(spec, max_deg)) == batched
+    assert list(islice(preimage._sieve_levels(spec), max_deg)) == batched
     assert not calls
