@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ import sys
 # those modules: `pi` needs no more than field and numtheory.
 from .errors import CounterexampleError
 from .field import FieldSpec
-from .numtheory import GUARD
+from .numtheory import ilog
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +125,8 @@ def _cmd_phi(args) -> int:
     f = parse_poly(spec, args.poly)
     what = f"phi(f) for f of degree {f.degree} over F_{spec.q}"
     # phi(f) >= q**D / (4 D) at degree D: see preimage.degree_bound
-    _refuse_by_degree(what, spec.q, f.degree, 4 * f.degree)
+    _refuse_unprintable(what, lambda limit: _too_long(
+        limit, spec.q, f.degree, 4 * f.degree))
     value = phi(f)
     _refuse_unprintable(what, lambda limit: value.value >= 10**limit)
     _emit(
@@ -150,7 +150,8 @@ def _cmd_sigma(args) -> int:
     g = parse_poly(spec, args.poly)
     what = f"sigma(g) for g of degree {g.degree} over F_{spec.q}"
     # sigma(g) >= q**D: g's monic associate is one of the divisors summed
-    _refuse_by_degree(what, spec.q, g.degree, 1)
+    _refuse_unprintable(what, lambda limit: _too_long(
+        limit, spec.q, g.degree, 1))
     value = sigma(g)
     _refuse_unprintable(what, lambda limit: value >= 10**limit)
     _emit({"value": str(value)}, args.format)
@@ -221,27 +222,25 @@ def _refuse_unprintable(what: str, too_long) -> None:
             f"limit for printing an integer")
 
 
-def _refuse_by_degree(what: str, q: int, degree: int, divisor: int) -> None:
-    # Refuses from the lower bound q**degree / divisor on a value, before
-    # factoring, which can take seconds; a constant (degree 0) is left to
-    # phi and sigma, which refuse it.
-    if degree >= 1:
-        digits = degree * math.log10(q) - math.log10(divisor)
-        _refuse_unprintable(what, lambda limit: digits * (1 - GUARD) > limit)
+def _too_long(limit: int, q: int, e: int, divisor: int) -> bool:
+    # Whether a value known to be >= q**e / divisor is refused before it is
+    # computed, which can take seconds: q**e >= divisor * 10**limit exactly
+    # when e > ilog(divisor * 10**limit - 1, q), so q**e is never built.
+    # Every e <= 0 passes, with any divisor: ilog is never below 0.
+    return e > ilog(divisor * 10**limit - 1, q)
 
 
 def _cmd_pi(args) -> int:
     spec = _field(args)
     if args.d < 1:
         raise ValueError("--d must be >= 1")
-    # d pi_q(d) >= q**d - 2 q**(d/2) gives pi_q(d) >= q**d / (2d), whose log
-    # never decreases in d, so capping d keeps a lower bound on log10 pi_q(d)
-    # and keeps the float finite.
-    d = min(args.d, 10**300)
-    digits = d * math.log10(spec.q) - math.log10(2 * d)
-    _refuse_unprintable(f"pi_q(d) for q = {spec.q}, d = {args.d}",
-                        lambda limit: digits * (1 - GUARD) > limit)
-    _emit({"d": args.d, "pi": str(spec.pi(args.d))}, args.format)
+    what = f"pi_q(d) for q = {spec.q}, d = {args.d}"
+    # d pi_q(d) >= q**d - 2 q**(d/2) gives pi_q(d) >= q**d / (2d)
+    _refuse_unprintable(what, lambda limit: _too_long(
+        limit, spec.q, args.d, 2 * args.d))
+    value = spec.pi(args.d)
+    _refuse_unprintable(what, lambda limit: value >= 10**limit)
+    _emit({"d": args.d, "pi": str(value)}, args.format)
     return 0
 
 
@@ -249,7 +248,7 @@ def _cmd_preimage(args) -> int:
     from .preimage import count_profile, preimage_count, preimage_list
 
     spec = _field(args)
-    if args.n is None or args.n < 1:
+    if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.action == "count":
         count = preimage_count(args.n, spec)
@@ -273,26 +272,26 @@ def _cmd_preimage(args) -> int:
 
 def _sierpinski_too_long(spec: FieldSpec, kind: str, l: int,
                          limit: int) -> bool:
-    # A lower bound on log10 n for the constructions of sierpinski_witness,
+    # A lower bound on n for the constructions of sierpinski_witness,
     # checked before n is built: building it can take seconds and gigabytes.
-    # Clamping l keeps a lower bound, as each bound grows with l, and keeps
-    # the float finite; sierpinski_witness refuses an l below its least.
+    # sierpinski_witness refuses an l below its least.
     q = spec.q
     if (kind == "exact") != (q == 2):
         return False  # sierpinski_witness refuses the construction itself
-    top = min(max(l, 0), 10**300)
     if kind == "exact":
-        digits = (top - 3) * math.log10(2)
-    else:
-        digits = top * math.log10(q)
-    if kind == "power":
-        # n = q**l prod_{d <= l} (q**d - 1)**pi_q(d), summed only until the
-        # bound passes the limit, so pi_q(d) is never computed far past it
-        d = 1
-        while d <= l and digits * (1 - GUARD) <= limit:
-            digits += spec.pi(d) * math.log10(q**d - 1)
-            d += 1
-    return digits * (1 - GUARD) > limit
+        return _too_long(limit, 2, l - 3, 1)  # n = 2**(l-3)
+    if kind == "binomial":
+        return _too_long(limit, q, l, 1)  # n = q**l (q-1)**2
+    # n = q**l prod_{d <= l} (q**d - 1)**pi_q(d) is phi of x**(l+1) times
+    # every other monic irreducible of degree <= l, whose degree D is
+    # l + sum_{d <= l} d pi_q(d).  q**D / (4 D) never decreases in D, so the
+    # sum stops once the bound passes the limit, and pi_q(d) is never
+    # computed far past it.  An l below 1 gives D = l and passes.
+    degree, d = l, 1
+    while d <= l and not _too_long(limit, q, degree, 4 * degree):
+        degree += d * spec.pi(d)
+        d += 1
+    return _too_long(limit, q, degree, 4 * degree)
 
 
 def _cmd_sierpinski(args) -> int:

@@ -118,26 +118,42 @@ class TestSamePhiAndPi:
         code, payload = run_json(capsys, "pi", "--p", "2", "--d", "6")
         assert code == 0 and payload == {"d": 6, "pi": "9"}
 
-    @pytest.mark.parametrize("p", [2, 3, 101])
-    def test_pi_at_the_digit_limit(self, capsys, p):
+    @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (101, 1)],
+                             ids=["2", "3", "4", "101"])
+    def test_pi_at_the_digit_limit(self, capsys, p, s):
         # prints every value within sys.get_int_max_str_digits(), and exits
-        # 2 on every value beyond it
+        # 2 on every value beyond it with the CLI's own one-line message;
+        # the first d refused (14299 over F_2, 9021 over F_3, 7149 over
+        # F_4) passes the lower bound q**d / (2d) and once printed the
+        # interpreter's "Exceeds the limit" text instead
         limit = sys.get_int_max_str_digits()
-        spec = FieldSpec(p)
-        first_too_long = int(limit * math.log(10) / math.log(p))
+        spec = FieldSpec(p, s)
+        first_too_long = int(limit * math.log(10) / math.log(spec.q))
         while spec.pi(first_too_long) < 10**limit:
             first_too_long += 1
         for d in range(first_too_long - 3, first_too_long + 4):
-            code, out, err = run(capsys, "pi", "--p", str(p), "--d", str(d))
+            code, out, err = run(capsys, "pi", "--p", str(p), "--s", str(s),
+                                 "--d", str(d))
             if spec.pi(d) < 10**limit:
                 assert code == 0 and json.loads(out)["pi"] == str(spec.pi(d))
             else:
-                assert code == 2 and "digits" in err, d
+                assert code == 2 and out == "", d
+                [line] = err.splitlines()
+                assert line.startswith("error:") and "digits" in line, line
+                assert "set_int_max_str_digits" not in line, line
+
+
+class Computed(Exception):
+    """Raised by a stand-in for the computation that a refusal would skip."""
+
+
+def compute(*args):
+    raise Computed
 
 
 class TestValueDigitLimit:
-    """phi and sigma refuse a value past the printing limit: first from a
-    lower bound on it by the degree, before factoring, then exactly,
+    """phi, sigma and pi refuse a value past the printing limit: first from
+    a lower bound on it by the degree, before computing it, then exactly,
     before printing."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -174,6 +190,35 @@ class TestValueDigitLimit:
         monkeypatch.setattr(totient, "factor", no_factor)
         code, out, err = run(capsys, command, "--p", "2", "--poly", poly)
         assert code == 2 and out == "" and "digits" in err
+
+    @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (10007, 1)])
+    @pytest.mark.parametrize("command", ["sigma", "pi", "phi"])
+    def test_refused_before_computing_exactly_past_the_bound(
+            self, capsys, monkeypatch, command, p, s):
+        # the value is >= q**e / divisor, with divisor 1 for sigma(x^e),
+        # 2e for pi_q(e) and 4e for phi(x^e); at a limit of 30 digits the
+        # check before computing refuses exactly when q**e >= divisor *
+        # 10**30, on both sides of that threshold
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 30)
+        monkeypatch.setattr(totient, "factor", compute)
+        monkeypatch.setattr(FieldSpec, "pi", compute)
+        q = p**s
+        divisor = {"sigma": lambda e: 1, "pi": lambda e: 2 * e,
+                   "phi": lambda e: 4 * e}[command]
+        seen = set()
+        for e in range(1, int(34 / math.log10(q)) + 2):
+            tail = ("--d", str(e)) if command == "pi" else ("--poly", f"x^{e}")
+            try:
+                code, out, err = run(capsys, command, "--p", str(p),
+                                     "--s", str(s), *tail)
+            except Computed:
+                refused = False
+            else:
+                assert code == 2 and out == "" and "digits" in err, (e, err)
+                refused = True
+            assert refused == (q**e >= divisor(e) * 10**30), e
+            seen.add(refused)
+        assert seen == {False, True}
 
 
 class TestPreimageCommand:
@@ -214,7 +259,8 @@ SIERPINSKI_PAST_THE_LIMIT = [
     ("--p", "3", "--kind", "binomial", "--l", "10000000"),
     ("--p", "3", "--kind", "binomial", "--l", "100000000"),
     ("--p", "2", "--kind", "exact", "--l", "1000000000"),
-    ("--p", "3", "--kind", "power", "--l", str(10**400))]
+    ("--p", "3", "--kind", "power", "--l", str(10**400)),
+    ("--p", "1000000007", "--kind", "power", "--l", "1")]
 
 
 class TestSierpinskiCommand:
@@ -232,7 +278,8 @@ class TestSierpinskiCommand:
 
     @pytest.mark.parametrize("kind", ["exact", "power", "binomial"])
     def test_l_far_below_the_least(self, capsys, kind):
-        # the digit bound clamps l before it becomes a float
+        # the digit bound on n passes every l below the least, however far
+        # below, and leaves the refusal to sierpinski_witness
         p = "2" if kind == "exact" else "3"
         code, _, err = run(capsys, "sierpinski", "--p", p, "--kind", kind,
                            "--l", str(-10**400))
@@ -246,6 +293,92 @@ class TestSierpinskiCommand:
         monkeypatch.setattr(preimage, "sierpinski_witness", build)
         code, _, err = run(capsys, "sierpinski", *argv)
         assert code == 2 and "digits" in err
+
+    @pytest.mark.parametrize("p,s,kind", [
+        (2, 1, "exact"), (3, 1, "binomial"), (10007, 1, "binomial"),
+        (3, 1, "power"), (2, 2, "power"), (5, 1, "power")])
+    def test_refused_before_n_is_built_exactly_past_the_bound(
+            self, capsys, monkeypatch, p, s, kind):
+        # at a limit of 30 digits the check before building n refuses
+        # exactly when a lower bound on n reaches 10**30: 2**(l-3) for
+        # exact, q**l for binomial, and for power q**D / (4D), at the degree
+        # D = l + sum_{d <= l} d pi_q(d) of the polynomial whose totient n is
+        spec = FieldSpec(p, s)
+        q = spec.q
+
+        def bound_reached(l):
+            if kind == "exact":
+                return l >= 3 and 2 ** (l - 3) >= 10**30
+            if kind == "binomial":
+                return q**l >= 10**30
+            degree = l + sum(d * spec.pi(d) for d in range(1, l + 1))
+            return q**degree >= 4 * degree * 10**30
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 30)
+        monkeypatch.setattr(preimage, "sierpinski_witness", compute)
+        seen = set()
+        top = 6 if kind == "power" else int(34 / math.log10(q)) + 5
+        for l in range(1, top):
+            try:
+                code, out, err = run(capsys, "sierpinski", "--p", str(p),
+                                     "--s", str(s), "--kind", kind,
+                                     "--l", str(l))
+            except Computed:
+                refused = False
+            else:
+                assert code == 2 and out == "" and "digits" in err, (l, err)
+                refused = True
+            assert refused == bound_reached(l), l
+            seen.add(refused)
+        assert seen == {False, True}
+
+
+# Every digit-limit refusal at its boundary, at the default limit of 4300
+# digits, with its exit code and its subject: None for a value that prints.
+# Where two rows refuse, the first is refused by the exact check of the
+# value, the second from the lower bound before computing it; the three
+# refused pi rows pass the bound and are refused by the exact check.
+DIGIT_LIMIT_BOUNDARY = [
+    (("phi", "--p", "2", "--poly", "x^14285"), None),
+    (("phi", "--p", "2", "--poly", "x^14286"),
+     "phi(f) for f of degree 14286 over F_2"),
+    (("phi", "--p", "2", "--poly", "x^14301"),
+     "phi(f) for f of degree 14301 over F_2"),
+    (("sigma", "--p", "2", "--poly", "x^14283"), None),
+    (("sigma", "--p", "2", "--poly", "x^14284"),
+     "sigma(g) for g of degree 14284 over F_2"),
+    (("sigma", "--p", "2", "--poly", "x^14285"),
+     "sigma(g) for g of degree 14285 over F_2"),
+    (("pi", "--p", "2", "--d", "14298"), None),
+    (("pi", "--p", "2", "--d", "14299"), "pi_q(d) for q = 2, d = 14299"),
+    (("pi", "--p", "3", "--d", "9021"), "pi_q(d) for q = 3, d = 9021"),
+    (("pi", "--p", "2", "--s", "2", "--d", "7149"),
+     "pi_q(d) for q = 4, d = 7149"),
+    (("sierpinski", "--p", "2", "--kind", "exact", "--l", "14287"), None),
+    (("sierpinski", "--p", "2", "--kind", "exact", "--l", "14288"),
+     "n for --kind exact --l 14288 over F_2"),
+    (("sierpinski", "--p", "3", "--kind", "power", "--l", "7"), None),
+    (("sierpinski", "--p", "3", "--kind", "power", "--l", "8"),
+     "n for --kind power --l 8 over F_3"),
+    (("sierpinski", "--p", "7", "--kind", "binomial", "--l", "5086"), None),
+    (("sierpinski", "--p", "7", "--kind", "binomial", "--l", "5087"),
+     "n for --kind binomial --l 5087 over F_7"),
+    (("sierpinski", "--p", "7", "--kind", "binomial", "--l", "5089"),
+     "n for --kind binomial --l 5089 over F_7"),
+]
+
+
+@pytest.mark.parametrize("argv,what", DIGIT_LIMIT_BOUNDARY,
+                         ids=["_".join(argv) for argv, _ in
+                              DIGIT_LIMIT_BOUNDARY])
+def test_digit_limit_boundary(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    if what is None:
+        assert code == 0 and err == "" and out.startswith("{"), err
+    else:
+        assert code == 2 and out == ""
+        assert err == (f"error: {what} has more than 4300 decimal digits, "
+                       "the interpreter's limit for printing an integer\n")
 
 
 class TestErdosCommand:
@@ -564,9 +697,11 @@ class TestEnumerationLimit:
         assert proc.returncode == 2 and "EXPONENT_LIMIT" in proc.stderr
 
     def test_pi_beyond_the_digit_limit(self):
-        # 2**(10**12) alone would take about 125 GB
-        proc = self.run_cli("pi", "--p", "2", "--d", str(10**12))
-        assert proc.returncode == 2 and "digits" in proc.stderr
+        # 2**(10**12) alone would take about 125 GB; 10**4000 is refused
+        # from the same integer bound, with no float to overflow
+        for d in (10**12, 10**4000):
+            proc = self.run_cli("pi", "--p", "2", "--d", str(d))
+            assert proc.returncode == 2 and "digits" in proc.stderr, d
 
 
 class TestLargeValues:
@@ -717,13 +852,18 @@ def probe_argvs(seed, count):
 
 
 @pytest.mark.parametrize(
-    "argv", [["preimage", "list", "--p", "37", "--n", "36"]]
+    "argv", [["preimage", "list", "--p", "37", "--n", "36"],
+             ["pi", "--p", "2", "--d", "14299"],
+             ["pi", "--p", "3", "--d", "9021"],
+             ["pi", "--p", "2", "--s", "2", "--d", "7149"]]
     + probe_argvs(38, 23), ids="_".join)
 def test_seeded_probe(capsys, argv):
     # in-process, so no child processes: every input exits 0, 1 or 2 and
-    # raises nothing; exit 2 ends in one error line with no traceback
+    # raises nothing; exit 2 ends in one error line with no traceback and
+    # none of the interpreter's own advice
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2), (code, err)
     if code == 2:
         assert err.splitlines()[-1].startswith("error:"), err
         assert "Traceback" not in err, err
+        assert "set_int_max_str_digits" not in err, err
