@@ -22,17 +22,13 @@ the group's children can reach (R * q**j <= y, R their least value), and a
 mask holding all of them joins the full group, the R that admit every j:
 the fewer distinct masks, the fewer groups.
 
-Distinct choices give the same R only at q = 3, where 2**3 = 3**2 - 1
-(three linear factors or one quadratic), and then one of the two is in
-``free``.  At q = 2 every node is in the full group.  At q >= 3 level
-d = 1 closes every mask, so a node outside it has no degree-1 factor, and
-R determines such a choice.  For two of them with one R, take the largest
-degree D where they differ: the factors above D agree and cancel.  For
-D >= 3, Zsigmondy's theorem gives q**D - 1 a prime that divides no
-q**e - 1 with e < D, so its valuation fixes m_D; at D = 2 only
-(q**2 - 1)**m_2 is left.  (With degree 1 allowed, the descent ends at
-(q - 1)**(m_1 + m_2) * (q + 1)**m_2, which fixes m_2 unless q + 1 and
-q - 1 are both powers of 2: q = 3.)  So the R that ``free`` holds are
+Distinct choices give the same R only at q = 3, and there only as the
+pair (m_1, m_2) = (3, a) and (0, a + 1) with every other m_d equal
+(2**3 = 3**2 - 1: three linear factors or one quadratic), by Lemma A in
+the docstring of ``preimage.count_profile``.  At q = 2 every node is in
+the full group.  At q >= 3 level d = 1 closes every mask, so a node
+outside it has no degree-1 factor, and R determines such a choice: the
+first of the pair is in ``free``.  So the R that ``free`` holds are
 dropped from the other groups, and no value is ever deduplicated.
 
 The values then fall into runs of R: ``free`` holds the R that admit every

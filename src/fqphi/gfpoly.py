@@ -453,17 +453,27 @@ def enumerate_monic(spec: FieldSpec, d: int) -> Iterator[Poly]:
         yield _mk(spec, tail + (1,))
 
 
+def _monic_codes(q: int, d: int, pos: int) -> tuple[int, ...]:
+    """The codes of the monic of degree d at this position in enumeration
+    order: the base-q digits of the position, most significant first, are
+    its coefficients from the constant term up."""
+    codes = [1] * (d + 1)
+    for j in range(d - 1, -1, -1):
+        pos, codes[j] = divmod(pos, q)
+    return tuple(codes)
+
+
 def enumerate_irreducibles(spec: FieldSpec, d: int) -> Iterator[Poly]:
     """Monic irreducibles of degree d in enumeration order."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     q = spec.q
-    # Above degree 1 a constant term 0 is the factor x: the tails start at 1,
-    # with the constant term varying slowest, as in enumerate_monic.
-    for tail in product(range(1 if d > 1 else 0, q), *[range(q)] * (d - 1)):
-        f = _mk(spec, tail + (1,))
-        if d > 1 and any(f.evaluate(c) == 0 for c in spec.elements()):
-            continue  # a root is a linear factor
+    # Above degree 1 a constant term 0 is the factor x, and the constant
+    # term is a position's slowest digit: the positions start at q**(d-1).
+    # They are decoded one at a time, so a large field costs nothing before
+    # its first candidate (the modulus search of F_(p**2), p near 10**9).
+    for pos in range(q ** (d - 1) if d > 1 else 0, q**d):
+        f = _mk(spec, _monic_codes(q, d, pos))
         if is_irreducible(f):
             yield f
 

@@ -1,9 +1,11 @@
 """Exact integer-side number theory.
 
-Everything here is exact big-integer arithmetic except the Stirling and
-solution-count bound formulas, which are evaluated in floating point.  Bound
-comparisons apply a relative guard band (``GUARD``) on the strict side, so
-floating-point noise can never turn a false inequality into a pass.
+Everything here is exact big-integer arithmetic except in two places: the
+Stirling and triangular-count bound formulas (``stirling_bounds``,
+``triangular_count_bound``), evaluated in floating point and compared with a
+relative guard band (``GUARD``) on the strict side, so floating-point noise
+can never turn a false inequality into a pass; and the float seed of
+``ilog``, which the exact power test then corrects.
 
 The package factors only small integers (degrees d, and q - 1 <= 255), so
 ``factor_int`` is bounded trial division; ``is_prime`` is Baillie-PSW, for a

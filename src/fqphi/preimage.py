@@ -404,19 +404,9 @@ def _codes_position(codes, d: int, q: int) -> int:
     return pos
 
 
-def _monic_codes(q: int, d: int, pos: int) -> tuple[int, ...]:
-    """The codes of the monic of degree d at this position in enumeration
-    order: the base-q digits of the position, most significant first, are
-    its coefficients from the constant term up."""
-    codes = [1] * (d + 1)
-    for j in range(d - 1, -1, -1):
-        pos, codes[j] = divmod(pos, q)
-    return tuple(codes)
-
-
 def _monic(spec: FieldSpec, d: int, pos: int) -> Poly:
     """The monic of degree d at this position in enumeration order."""
-    from .gfpoly import _mk
+    from .gfpoly import _mk, _monic_codes
 
     return _mk(spec, _monic_codes(spec.q, d, pos))
 
@@ -730,11 +720,51 @@ def _uniqueness_condition(reps: list[Representation],
 def count_profile(n: int, spec: FieldSpec) -> CountProfile:
     """Classify the preimage count of n against the proven count gaps.
 
-    For q >= 4 the count must be 0, 1, q, or at least C(q, 2); for q = 2 it
-    must be 0 or >= 3 with 3 happening only at n = 1.  Any other outcome, or
-    a uniqueness classification that disagrees with the explicit condition,
-    raises CounterexampleError.  q = 3 has no gap statement beyond
-    uniqueness; its middle counts are labelled "other" if they ever occur.
+    For q >= 3 the count must be 0, 1, q, or at least C(q, 2); at q = 3,
+    where C(3, 2) = q, that excludes exactly the count 2 (proof below).
+    For q = 2 it must be 0 or >= 3 with 3 happening only at n = 1.  Any
+    other outcome, or a uniqueness classification that disagrees with the
+    explicit condition, raises CounterexampleError.
+
+    A form (j, {m_d}) of n is canonical as in the module docstring, and
+    the p-adic valuation of n fixes j (each q**d - 1 is prime to p).
+
+    Lemma A.  For q != 3 every n has at most one form.  Over F_3 it has at
+    most two, (m_1, m_2) = (3, a) and (0, a + 1), with j and every other
+    m_d equal.  Take two forms of n and the largest degree D where they
+    differ; the factors above D agree and cancel.  A prime of q**D - 1
+    that divides no q**e - 1 with e < D has valuation m_D times its
+    valuation in q**D - 1 on both sides, so it fixes m_D, against the
+    choice of D.  By Zsigmondy's theorem such a prime exists unless
+    (q, D) = (2, 6), or D = 2 and q + 1 is a power of 2 (D = 1 at q = 2
+    is not canonical).  At D = 2 what is left is
+    (q - 1)**(m_1 + m_2) (q + 1)**m_2.  For q >= 5, q - 1 and q + 1 are
+    not both powers of 2 and share no odd prime, so an odd prime of q - 1
+    fixes m_1 + m_2, and then the valuation of 2 fixes m_2.  At q = 3 what
+    is left is 2**(m_1 + 3 m_2), so c = m_1 + 3 m_2 is fixed, and with
+    m_1, m_2 <= pi_3(1) = pi_3(2) = 3 the two forms are (3, a) and
+    (0, a + 1).  No third form fits: all forms agree above degree 2, and
+    m_1 is one of the at most two numbers in 0..3 congruent to c mod 3,
+    each of which fixes m_2.  At q = 2, D = 6, what is left is 3**m_2
+    7**m_3 15**m_4 31**m_5 63**m_6: 5 fixes m_4, and then 3 fixes
+    m_2 + 2 m_6.  As m_6 differs, m_2 differs by at least 2, but
+    m_2 <= pi_2(2) = 1.
+
+    Lemma B.  No single form over F_3 counts 2.  A form counts B * W, with
+    B = prod C(pi_3(d), m_d) and W >= 1 the ways to spread j over the
+    chosen irreducibles (``_count_for``), and pi_3(d) >= 3 for every d
+    (pi_3(1) = pi_3(2) = 3, and pi_q(d) >= q**d / (2d) past that).  If
+    some 0 < m_d < pi_3(d), then B >= pi_3(d) >= 3.  Otherwise B = 1.  If
+    then j > 0, some irreducible P gets an exponent k >= 1 in a spread, and
+    its degree has pi_3(d) >= 3 chosen copies.  A spread not constant on
+    those copies has at least 3 distinct permutations of them; a constant
+    one, moving 1 from one copy to another, gives such a spread besides
+    itself.  So W >= 3.  If j = 0, the count is 1.
+
+    Theorem.  No n has exactly two preimages over F_3.  By Lemma B a count
+    of 2 needs two forms, each counting 1: j = 0 and every present degree
+    full.  By Lemma A they are (3, a) and (0, a + 1), so a is 0 or 3 and
+    a + 1 is 0 or 3, which no a satisfies.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -778,8 +808,6 @@ def count_profile(n: int, spec: FieldSpec) -> CountProfile:
         label = "exactly-q"
     elif count >= threshold:
         label = "at-least-binom"
-    elif q == 3:
-        label = "other"  # no gap theorem at q = 3
     else:
         raise CounterexampleError(
             f"preimage count {count} inside a forbidden gap for n = {n}, "

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -522,13 +523,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
 
-def run_subprocess(*argv, timeout=30):
+def run_subprocess(*argv, timeout=30, preexec_fn=None):
     """The CLI in a fresh interpreter, with a timeout: a hang or a crash
-    fails the test instead of the test run."""
+    fails the test instead of the test run.  ``preexec_fn`` runs in the
+    child before exec, where a resource cap limits that process alone."""
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "fqphi.cli", *argv], env=env,
-        capture_output=True, text=True, timeout=timeout)
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn)
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["print", "flush"])
@@ -730,6 +733,18 @@ class TestLargeValues:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {
             "count": str(4 * FieldSpec(2).pi(4000))}
+
+    def test_extension_of_a_large_prime_field(self):
+        # The modulus search of F_(p**2) once listed its coefficient ranges,
+        # about 2 * 10**9 codes, before its first candidate: without a cap
+        # the kernel killed the process for memory.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = run_subprocess("pi", "--p", "1000000007", "--s", "2", "--d",
+                              "1", preexec_fn=cap)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '{"d": 1, "pi": "1000000014000000049"}\n'
 
 
 class TestUsageErrors:

@@ -76,6 +76,17 @@ class TestPrimitivePrimeDivisors:
             primitive_prime_divisors(2, 0)
 
 
+def lemma_a_shape(forms, q: int) -> bool:
+    """Whether the forms of one value are as Lemma A of count_profile says:
+    one, or over F_3 the pair (m_1, m_2) = (3, a), (0, a + 1) with j and
+    every other m_d equal (represent lists the m_1 = 3 form first)."""
+    if q != 3 or len(forms) != 2:
+        return len(forms) == 1
+    (j, low), (k, high) = forms
+    return j == k and low.get(1) == 3 and high == {
+        **{d: m for d, m in low.items() if d != 1}, 2: low.get(2, 0) + 1}
+
+
 class TestRepresent:
     def test_q2_examples(self, F2):
         reps = represent(3, F2)
@@ -649,9 +660,9 @@ class TestCountProfile:
             profile = count_profile(v, spec)
             assert profile.count > 0, v
             labels.add(profile.label)
-        # an observation on this range, not a theorem: no value has
-        # exactly two preimages over F_3
-        assert "other" not in labels
+            assert lemma_a_shape(represent(v, spec), spec.q), v
+        assert labels <= ({"exactly-3", "above-3"} if spec.q == 2 else
+                          {"unique", "exactly-q", "at-least-binom"})
         # log-uniform n <= y: uniform ones would all miss the sparse values
         listed = set(values)
         rng = random.Random(spec.q)
@@ -660,6 +671,31 @@ class TestCountProfile:
             assert (preimage_count(n, spec) > 0) == (n in listed), n
             hits.add(n in listed)
         assert hits == {True, False}
+
+    def test_lemmas_on_every_f3_value_to_10_12(self, F3):
+        # Lemma A's pair, and Lemma B: one form counts 1 exactly when j = 0
+        # and every present degree is full, and never counts 2
+        values = phi_values_up_to(10**12, F3)
+        pairs = 0
+        for v in values:
+            forms = represent(v, F3)
+            assert lemma_a_shape(forms, 3), v
+            pairs += len(forms) == 2
+            for rep in forms:
+                count = preimage._count_for(rep, F3)
+                full = all(m == F3.pi(d) for d, m in rep.counts.items())
+                assert count != 2 and (count == 1) == (rep.j == 0 and full), v
+        assert (len(values), pairs) == (18849, 3258)
+
+    def test_a_count_of_two_over_f3_raises(self, F3, monkeypatch):
+        # 72 = 3**2 * 2**3 = 3**2 * (3**2 - 1) has Lemma A's pair of forms;
+        # with each made to count 1, the total is the count the theorem
+        # excludes
+        assert len(represent(72, F3)) == 2
+        monkeypatch.setattr(preimage, "_LAST", {})
+        monkeypatch.setattr(preimage, "_count_for", lambda rep, spec: 1)
+        with pytest.raises(CounterexampleError, match="count 2"):
+            count_profile(72, F3)
 
 
 class TestSharedForm:
