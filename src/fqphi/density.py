@@ -41,6 +41,7 @@ the runs at point // q**j and builds no list of values.  A walk past
 
 The count V(y) is bounded by 2 q k (e^2/2)^(k/2) with k = floor(log_q y); a
 violation would contradict a proven statement and raises CounterexampleError.
+``numtheory._below`` decides it exactly; a report's float bound is printed.
 The k = 0 edge (y < q) degenerates the bound to 0 while V can be 1 over F_2,
 so the check is skipped there and the report says so.
 """
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 from .errors import CounterexampleError
 from .field import FieldSpec
-from .numtheory import GUARD, ilog
+from .numtheory import _below, ilog
 from .preimage import _FIRST_DEGREE, reachable_sums
 
 #: Nodes (distinct choices of factors) one walk may keep.  A node costs
@@ -188,7 +189,7 @@ def density_bound(y: int, spec: FieldSpec) -> tuple[int, float]:
 def _report_from_count(y: int, count: int, spec: FieldSpec) -> DensityReport:
     k, bound = density_bound(y, spec)
     checked = k >= 1
-    if checked and count > bound * (1 - GUARD):
+    if checked and not _below(count**2 << k, 4 * (spec.q * k)**2, 0, 2 * k):
         raise CounterexampleError(
             f"V({y}) = {count} exceeds the ceiling {bound} for q = {spec.q}")
     return DensityReport(y, k, count, bound, count / y, checked)

@@ -1,11 +1,9 @@
 """Exact integer-side number theory.
 
-Everything here is exact big-integer arithmetic except in two places: the
-Stirling and triangular-count bound formulas (``stirling_bounds``,
-``triangular_count_bound``), evaluated in floating point and compared with a
-relative guard band (``GUARD``) on the strict side, so floating-point noise
-can never turn a false inequality into a pass; and the float seed of
-``ilog``, which the exact power test then corrects.
+Everything here is exact big-integer arithmetic except the float seed of
+``ilog``, which the exact power test then corrects.  ``_below`` decides the
+proven bounds in e and pi (Robbins' Stirling sandwich, the triangular count
+and the V(y) ceiling of ``density``) on integer brackets of e and pi.
 
 The package factors only small integers (degrees d, and q - 1 <= 255), so
 ``factor_int`` is bounded trial division; ``is_prime`` is Baillie-PSW, for a
@@ -16,9 +14,6 @@ from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
-
-#: Relative guard band for floating-point bound comparisons.
-GUARD = 1e-9
 
 #: ``factor_int`` trial-divides below this, so it factors every
 #: n < TRIAL_LIMIT**2 = 2**24 in at most 2**11 divisions.  Its inputs are
@@ -31,6 +26,11 @@ TRIAL_LIMIT = 2**12
 # Baillie-PSW, which no known composite passes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
+
+# floor(e * 2**128) and floor(pi * 2**128); tests/test_numtheory.py derives
+# both again, from the series of e and Machin's formula.
+_E = 0x2b7e151628aed2a6abf7158809cf4f3c7
+_PI = 0x3243f6a8885a308d313198a2e03707344
 
 def ilog(m: int, b: int) -> int:
     """The largest e with b**e <= m for m >= b, and 0 for every m < b.
@@ -187,23 +187,42 @@ def zsigmondy_has_primitive(a: int, b: int, n: int) -> bool:
     return part > 1
 
 
-def stirling_bounds(n: int) -> tuple[float, float]:
-    """Two-sided factorial bounds (lower, upper) with lower < n! < upper.
-
-    lower = sqrt(2 pi n) (n/e)^n e^(1/(12n+1)), upper uses e^(1/(12n)).
-    Evaluated in log space to stay finite well past the tested range.
+def _below(x: int, y: int, pis: int, es: int, num=0, den=1) -> bool:
+    """Whether x pi**pis < y e**(es - t), for integers x, y, pis, es >= 0
+    and t = num / den in [0, 1), on integer brackets of pi, e and e**-t at
+    scale 2**128: exact when the sides' brackets separate, ValueError when
+    they overlap, which Robbins' gap, about 1/(180 n**3), puts past n = 10**8.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    base = 0.5 * math.log(2 * math.pi * n) + n * (math.log(n) - 1)
-    return math.exp(base + 1 / (12 * n + 1)), math.exp(base + 1 / (12 * n))
+    low = high = 1 << 128  # e**es, then e**(es - t), by square-and-multiply
+    for bit in bin(es)[2:]:
+        low, high = low * low >> 128, -(-high * high >> 128)
+        if bit == "1":
+            low, high = low * _E >> 128, -(-high * (_E + 1) >> 128)
+    if num:  # e**-t by its series: floored term i is short by at most i, and
+        # the first to floor to 0, at i, bounds the tail: error <= i (i+1)/2
+        total, term, i = 0, 1 << 128, 0
+        while term:
+            total += -term if i & 1 else term
+            i += 1
+            term = term * num // (den * i)
+        low = low * (total - i * i) >> 128
+        high = -(-high * (total + i * i) >> 128)
+    if x * (_PI + 1)**pis << 128 < y * low << 128 * pis:
+        return True
+    if y * high << 128 * pis <= x * _PI**pis << 128:
+        return False
+    raise ValueError(f"too close to decide {x} pi^{pis} < {y} e^({es} - t)")
 
 
 def stirling_sandwich_holds(n: int) -> bool:
-    """Check lower < n! < upper with the guard band narrowing the window."""
-    lower, upper = stirling_bounds(n)
-    fact = math.factorial(n)
-    return lower * (1 + GUARD) < fact and fact < upper * (1 - GUARD)
+    """Robbins' sqrt(2 pi n) (n/e)**n e**(1/(12n+1)) < n! < the same with
+    e**(1/(12n)), squared and times e**(2n): 2 pi n**(2n+1) is below
+    n!**2 e**(2n - 2/(12n+1)) and above n!**2 e**(2n - 2/(12n))."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    power, square = 2 * n**(2 * n + 1), math.factorial(n)**2
+    return (_below(power, square, 1, 2 * n, 2, 12 * n + 1)
+            and not _below(power, square, 1, 2 * n, 2, 12 * n))
 
 
 def compositions(weights: Iterable[int], limit: int) -> list[int]:
@@ -245,11 +264,6 @@ def triangular_solution_count(n: int) -> int:
     return count_solutions(range(1, n + 1), n)
 
 
-def triangular_count_bound(n: int) -> float:
-    """The proven ceiling 2 (e^2/2)^(n/2) for triangular_solution_count."""
-    return 2.0 * (math.e**2 / 2.0) ** (n / 2.0)
-
-
 def triangular_bound_holds(n: int) -> bool:
-    """Check N(n) < 2 (e^2/2)^(n/2), guard band on the strict side."""
-    return triangular_solution_count(n) < triangular_count_bound(n) * (1 - GUARD)
+    """N(n) < 2 (e^2/2)^(n/2), decided exactly as N(n)**2 2**n < 4 e**(2n)."""
+    return _below(triangular_solution_count(n)**2 << n, 4, 0, 2 * n)

@@ -591,9 +591,9 @@ def _sieve_levels(spec: FieldSpec):
 
 #: Most monics ``preimage_list`` enumerates, and most that the sieve cache
 #: keeps over all fields.  At the limit, F_2 to degree 17 (262,142
-#: monics), the listing takes 0.25-0.27 s and 55 MB peak RSS on a shared
-#: 2-core x86-64 host with Python 3.11; no other field's build under the
-#: limit has as many monics.
+#: monics), ``preimage_list`` takes 0.29-0.40 s and 55 MB peak RSS, and the
+#: CLI's listing 0.30-0.50 s and 59 MB, on a shared 2-core x86-64 host with
+#: Python 3.11; no other field's build under the limit has as many monics.
 LIST_LIMIT = 2**18
 
 # Per field: its sieve ``_sieve_levels(spec)``, the degrees 1..D it has

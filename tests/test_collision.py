@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,11 @@ from fqphi import (
 FIELDS = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
 
 
+@cache
 def valid_signatures(spec, max_deg=6):
     # build a random valid signature: pick counts under the caps, then pad
-    # the degree by a non-negative amount
+    # the degree by a non-negative amount; one strategy per (spec, max_deg),
+    # since Hypothesis inspects each new composite's source
     @st.composite
     def build(draw):
         counts = {}

@@ -1,5 +1,6 @@
 import hashlib
 from bisect import bisect_right
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import fqphi.density
 from fqphi import (
+    CounterexampleError,
     FieldSpec,
     degree_bound,
     density_bound,
@@ -268,6 +270,25 @@ class TestDensityReport:
         k, bound = density_bound(2**4, F2)
         assert k == 4
         assert bound == pytest.approx(2 * 2 * 4 * (2.718281828459045**2 / 2) ** 2)
+
+
+    @pytest.mark.parametrize("y,field", [
+        (2**10, (2, 1)), (2**60, (2, 1)), (3**7, (3, 1)), (3**40, (3, 1)),
+        (4**9, (2, 2)), (5**4, (5, 1)), (5**30, (5, 1))])
+    def test_decided_on_both_sides_of_the_ceiling(self, y, field):
+        # a hand-built count at floor(bound) passes and one above it is a
+        # counterexample; the floor is taken in 60-digit decimal
+        spec = FieldSpec(*field)
+        k = ilog(y, spec.q)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            bound = 2 * spec.q * k * (Decimal(2).exp() / 2) ** (Decimal(k) / 2)
+            floor = int(bound)
+            assert Decimal("1e-6") < bound - floor < 1 - Decimal("1e-6")
+        report = fqphi.density._report_from_count(y, floor, spec)
+        assert (report.k, report.count, report.bound_checked) == (k, floor, True)
+        with pytest.raises(CounterexampleError, match="exceeds the ceiling"):
+            fqphi.density._report_from_count(y, floor + 1, spec)
 
 
 class TestDensitySweep:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import cache
 from itertools import product
 
 import pytest
@@ -29,7 +30,9 @@ from fqphi.numtheory import factor_int
 FIELDS = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
 
 
+@cache
 def polys(spec, max_deg=5):
+    # one strategy per (spec, max_deg), built on first use
     return st.builds(
         lambda cs: Poly(spec, cs),
         st.lists(st.integers(0, spec.q - 1), min_size=0, max_size=max_deg + 1),

@@ -1,5 +1,7 @@
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import count
 
 import pytest
@@ -280,14 +282,125 @@ class TestZsigmondy:
         assert nt.zsigmondy_has_primitive(2, 1, 137) is True
 
 
+def e_bracket(k):
+    """(low, high) with low < e < high: sum 1/i! over i < k, and that sum
+    plus 2/k!, above the tail 1/k! (1 + 1/(k+1) + 1/(k+1)**2 + ...)."""
+    low = sum(Fraction(1, math.factorial(i)) for i in range(k))
+    return low, low + Fraction(2, math.factorial(k))
+
+
+def pi_bracket(terms):
+    """(low, high) with low < pi < high, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239), each arctan between the last two
+    partial sums of its alternating series."""
+    def arctan(m):
+        sums = [Fraction(0)]
+        for i in range(terms + 1):
+            term = Fraction((-1)**i, (2 * i + 1) * m**(2 * i + 1))
+            sums.append(sums[-1] + term)
+        return sorted(sums[-2:])
+
+    (low5, high5), (low239, high239) = arctan(5), arctan(239)
+    return 16 * low5 - 4 * high239, 16 * high5 - 4 * low239
+
+
+def robbins_holds(n):
+    """Robbins' sandwich in 60-digit decimal logarithms, n! from
+    math.factorial and pi from Machin's formula."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        low, _ = pi_bracket(40)
+        pi = Decimal(low.numerator) / Decimal(low.denominator)
+        base = (2 * pi * n).ln() / 2 + n * (Decimal(n).ln() - 1)
+        log_fact = Decimal(math.factorial(n)).ln()
+        return (base + Decimal(1) / (12 * n + 1) < log_fact
+                < base + Decimal(1) / (12 * n))
+
+
+class TestBelow:
+    def test_e_literal(self):
+        low, high = e_bracket(40)
+        assert math.floor(low * 2**128) == math.floor(high * 2**128) == nt._E
+
+    def test_pi_literal(self):
+        low, high = pi_bracket(40)
+        assert math.floor(low * 2**128) == math.floor(high * 2**128) == nt._PI
+
+    def test_overlapping_brackets_raise(self):
+        # floor(e 2**128) < e 2**128 and pi 2**128 < floor(pi 2**128) + 1,
+        # but each side's bracket holds the other side's point
+        with pytest.raises(ValueError, match="too close"):
+            nt._below(nt._E, 2**128, 0, 1)
+        with pytest.raises(ValueError, match="too close"):
+            nt._below(2**128, nt._PI + 1, 1, 0)
+
+    def test_decides_next_to_the_brackets(self):
+        assert nt._below(nt._E - 1, 2**128, 0, 1)
+        assert not nt._below(nt._E + 1, 2**128, 0, 1)
+        assert nt._below(2**128, nt._PI + 2, 1, 0)
+        assert not nt._below(2**128, nt._PI, 1, 0)
+
+    def test_integers_alone_compare_exactly(self):
+        assert nt._below(2, 3, 0, 0) and not nt._below(3, 3, 0, 0)
+
+    def test_matches_decimal(self):
+        # x pi**a < y e**(m - t) in 80-digit decimal, away from the tie
+        rng = random.Random(45)
+        low, _ = pi_bracket(60)
+        decided = 0
+        with localcontext() as ctx:
+            ctx.prec = 80
+            pi = Decimal(low.numerator) / Decimal(low.denominator)
+            for _ in range(300):
+                pis, es = rng.randint(0, 1), rng.randint(0, 60)
+                den = rng.randint(1, 10**6)
+                num = rng.randrange(den) if rng.random() < 0.7 else 0
+                y = rng.randint(1, 10**30)
+                right = y * (Decimal(es) - Decimal(num) / den).exp()
+                # x off the tie by a relative 10**-5 .. 10**-28, either side
+                shift = rng.choice((-1, 1)) * Decimal(10)**-rng.randint(5, 28)
+                x = int(right / pi**pis * (1 + shift))
+                left = x * pi**pis
+                if abs(left - right) < right * Decimal(10)**-30:
+                    continue
+                assert nt._below(x, y, pis, es, num, den) == (left < right), (
+                    x, y, pis, es, num, den)
+                decided += 1
+        assert decided > 250
+
+
 class TestStirling:
     @pytest.mark.parametrize("n", [1, 5, 20])
     def test_examples(self, n):
-        lower, upper = nt.stirling_bounds(n)
-        assert lower < math.factorial(n) < upper
+        # each Robbins exponent decides its own side, and the other side's
+        # exponent turns the inequality round
+        power, square = 2 * n**(2 * n + 1), math.factorial(n)**2
+        assert nt.stirling_sandwich_holds(n)
+        assert nt._below(power, square, 1, 2 * n, 2, 12 * n + 1)
+        assert not nt._below(power, square, 1, 2 * n, 2, 12 * n)
+        assert not nt._below(power, square, 1, 2 * n, 2, 12 * n - 1)
+        assert nt._below(power, square, 1, 2 * n, 2, 12 * n + 2)
 
     def test_sandwich_to_30(self):
         assert all(nt.stirling_sandwich_holds(n) for n in range(1, 31))
+
+    @pytest.mark.parametrize("ns", [
+        range(1, 141),
+        # the band where the gap, about 1/(360 n**3), is below a 1e-9
+        # float guard band
+        range(141, 171),
+        # n! passes the largest float here
+        range(171, 172),
+        range(172, 201),
+    ], ids=["1-140", "141-170", "171", "172-200"])
+    def test_sandwich_to_200_against_factorial(self, ns):
+        for n in ns:
+            assert robbins_holds(n), n
+            assert nt.stirling_sandwich_holds(n), n
+
+    def test_rejects_n_below_1(self):
+        with pytest.raises(ValueError):
+            nt.stirling_sandwich_holds(0)
 
 
 class TestCountSolutions:
@@ -336,3 +449,8 @@ class TestTriangular:
 
     def test_bound_to_60(self):
         assert all(nt.triangular_bound_holds(n) for n in range(1, 61))
+
+    @pytest.mark.parametrize("n", [1000, 1100, 2000])
+    def test_bound_past_float_range(self, n):
+        # 2 (e^2/2)^(n/2) passes the largest float between n = 1000 and 1100
+        assert nt.triangular_bound_holds(n)

@@ -28,7 +28,6 @@ from fqphi import (
 )
 from fqphi import preimage
 from fqphi.numtheory import (
-    GUARD,
     compositions,
     factor_int,
     ilog,
@@ -40,6 +39,10 @@ from test_numtheory import reference_factor
 F7 = FieldSpec(7)
 F8 = FieldSpec(2, 3)
 F9 = FieldSpec(3, 2)
+
+#: The relative guard band of the float walks that once set degree_bound,
+#: kept as their reference.
+BAND = 1e-9
 
 
 def primitive_prime_divisors(a: int, n: int) -> set[int]:
@@ -548,7 +551,7 @@ class TestDegreeBound:
             while True:
                 d += 1
                 log_l += log(spec.q) - spec.pi(d) / (spec.q**d - 1)
-                if log_l - log(n) > GUARD * max(1.0, log(n)):
+                if log_l - log(n) > BAND * max(1.0, log(n)):
                     break
                 if phis[d] <= n:
                     last_ok = d
@@ -573,7 +576,7 @@ class TestDegreeBound:
             while True:
                 d += 1
                 log_l += log(q) - spec.pi(d) / (q**d - 1)
-                if log_l - log(n) > GUARD * max(1.0, log(n)):
+                if log_l - log(n) > BAND * max(1.0, log(n)):
                     break
                 if phis[d] <= n:
                     last_ok = d

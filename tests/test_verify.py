@@ -114,11 +114,15 @@ def test_sierpinski_suite_reports_a_wrong_count(monkeypatch):
 
 
 def test_density_ceiling_rows_report_a_counterexample(monkeypatch):
-    # a ceiling of 0 makes every checked sample point a counterexample
-    bound = density.density_bound
-    monkeypatch.setattr(density, "density_bound",
-                        lambda y, spec: (bound(y, spec)[0], 0.0))
+    # an exact comparison that never finds the count below the ceiling
+    # makes every checked sample point a counterexample, the first at y = q
+    monkeypatch.setattr(density, "_below", lambda *args: False)
     rows = [row for row in verify.run_suite("density")
             if row.name.startswith("value count ceiling")]
     assert len(rows) == 4 and not any(row.ok for row in rows), rows
-    assert all("exceeds the ceiling 0.0" in row.detail for row in rows)
+    for q, row in zip((2, 3, 4, 5), rows):
+        spec = verify._spec(q)
+        count = len(density.phi_values_up_to(q, spec))
+        bound = density.density_bound(q, spec)[1]
+        assert row.detail == (
+            f"V({q}) = {count} exceeds the ceiling {bound} for q = {q}")
