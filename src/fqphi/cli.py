@@ -124,7 +124,7 @@ def _cmd_phi(args) -> int:
     spec = _field(args)
     f = parse_poly(spec, args.poly)
     what = f"phi(f) for f of degree {f.degree} over F_{spec.q}"
-    # phi(f) >= q**D / (4 D) at degree D: see preimage.degree_bound
+    # phi(f) >= q**D / (4 D) at degree D: see preimage.min_phi
     _refuse_unprintable(what, lambda limit: _too_long(
         limit, spec.q, f.degree, 4 * f.degree))
     value = phi(f)

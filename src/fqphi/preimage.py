@@ -34,13 +34,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import count, islice
+from itertools import count, islice, takewhile
 from math import comb, gcd, prod
+from threading import Lock
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CounterexampleError
 from .field import FieldSpec
-from .numtheory import compositions, factor_int, ilog
+from .numtheory import compositions, factor_int
 
 # Counting needs no polynomial arithmetic: the sieve and the functions that
 # build a Poly import from gfpoly when they run.
@@ -275,93 +276,56 @@ def preimage_count(n: int, spec: FieldSpec) -> int:
 # -- degree bound and the brute-force oracle ---------------------------------
 
 
-# Per q: the longest table ``_min_phis`` has made, read-only; a longer one
-# replaces it whole, so a concurrent reader only ever sees a complete table.
-_MIN_PHIS: dict[int, list[int]] = {}
-
-
-def _min_phis(spec: FieldSpec, top: int) -> list[int]:
-    """Entries 0..top, at least, of the exact minimum of the factored
-    totient over signature data of degree D: one bounded knapsack on prime
-    weight, started from the q-power fill q**D of the empty data.
-
-    Entry D stays a value of degree-D data because every update adds
-    weight d to an entry of weight D - d.  Pass c over degree d allows c
-    factors of it: read in descending w, it sets entry w to the smaller of
-    itself and entry w - d times q**d - 1, both as the earlier passes left
-    them, so it writes only entries of weight >= c*d.
-
-    The table kept is the longest made for q, because entry w does not
-    depend on the top.  Let the full run at top T make every pass
-    c <= pi_q(d) over every d <= T.  The run here makes the same entries
-    0..T.  Its cap c <= T // d skips only passes that write above T.  Its
-    early stop skips only passes that lower nothing: let pass c lower
-    nothing in [c*d, T], and let w be in [(c+1)*d, T].  Entry w - d lies
-    in [c*d, T - d], so pass c left it as it was, and entry w stayed at
-    most entry w - d times q**d - 1.  Pass c + 1 compares the same two
-    values and lowers nothing either, and so on for every later pass over
-    d.  In the full run an update reads only entries below the one it
-    writes, and a pass over d > w writes only above w.  So entries 0..w of
-    the full run at T are those of the full run at w, for every T >= w.
-    """
-    best = _MIN_PHIS.get(spec.q)
-    if best is not None and len(best) > top:
-        return best
-    q = spec.q
-    best = [q**w for w in range(top + 1)]
-    for d in range(1, top + 1):
-        b = q**d - 1
-        for c in range(1, min(spec.pi(d), top // d) + 1):
-            lowered = False
-            for w in range(top, c * d - 1, -1):
-                cand = best[w - d] * b
-                if cand < best[w]:
-                    best[w] = cand
-                    lowered = True
-            if not lowered:
-                break
-    _MIN_PHIS[q] = best
-    return best
+def _min_phis(spec: FieldSpec) -> Iterator[int]:
+    """min_phi(0), min_phi(1), ...: each step frees one unit of degree, and
+    once d are free the factor q**d - 1 next in the greedy fill (see
+    ``min_phi``) takes the place of q**d, so at most one factor per step."""
+    q, fill = spec.q, 1  # the product of the factors taken
+    for d in count(1):
+        for _ in range(spec.pi(d)):
+            yield from (fill * q**k for k in range(d))
+            fill *= q**d - 1
 
 
 def min_phi(spec: FieldSpec, degree: int) -> int:
     """Smallest totient value attainable by signature data of this degree.
 
     Signature data of degree D are counts m_d <= pi_q(d) with prime weight
-    w = sum d*m_d <= D, of value q**(D - w) prod (q**d - 1)**m_d.  min_phi
-    never decreases in D: take data of degree D + 1 attaining the minimum.
-    If w < D + 1, one factor q less gives data of degree D.  Otherwise pick
-    d with m_d >= 1 and trade one factor q**d - 1 for q**(d - 1), which is
-    no larger: m_d drops by one and the q-power rises by d - 1.  Either way
-    the degree drops by one and the value does not rise, so
-    min_phi(D) <= min_phi(D + 1).
+    w = sum d*m_d <= D, of value q**(D - w) prod (q**d - 1)**m_d.  List the
+    factors q**d - 1 by degree, pi_q(d) copies of each: min_phi(D) is
+    q**(D - w) times the product of the longest prefix of the list whose
+    weight w is <= D.  Let t be the first degree whose factors do not all
+    fit in D, and let data of degree D leave out a factor of degree a < t.
+    If they hold one of degree b > a, swapping it for the one left out
+    lowers the value, as (q**a - 1) q**(b - a) < q**b - 1, and the weight.
+    If not, they weigh at most D - a, as all factors of degree <= a fit,
+    so the one left out fits, and lowers the value in place of q**a.  So a
+    minimum holds every factor below t, by the same swap none above t, and
+    as many of degree t as fit.  So min_phi never decreases: a unit more
+    of degree multiplies the value by q, or takes a factor
+    q**d - 1 >= q**(d - 1) in place of the whole q-power, q**(d - 1).
+
+    As f has at most pi_q(d) prime divisors of degree d, phi(f) >= L(D) =
+    q**D prod_{d <= D} (1 - q**-d)**pi_q(d) for a monic f of degree D.  By
+    Bernoulli's inequality and (D+1) pi_q(D+1) <= q**(D+1), L(D+1) / L(D)
+    >= q D / (D+1); with L(1) = q (1 - 1/q)**q >= q/4 that gives
+    L(D) >= q**D / (4 D), the bound of the CLI's ``phi`` refusal.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    return _min_phis(spec, degree)[degree]
+    return next(islice(_min_phis(spec), degree, None))
 
 
 def degree_bound(n: int, spec: FieldSpec) -> int:
     """Largest degree any monic preimage of n can have.
 
     Every monic f of degree D has phi(f) >= min_phi(D), and min_phi never
-    decreases, so the bound is the last D with min_phi(D) <= n; one
-    knapsack finds it, run to a degree past which no monic has totient n.
-    As f has at most pi_q(d) prime divisors of degree d, phi(f) >= L(D) =
-    q**D prod_{d <= D} (1 - q**-d)**pi_q(d).  By Bernoulli's inequality and
-    (D+1) pi_q(D+1) <= q**(D+1), L(D+1) / L(D) >= q D / (D+1); with
-    L(1) = q (1 - 1/q)**q >= q/4 that gives L(D) >= q**D / (4 D), which
-    never decreases.  So for e = ilog(n, q), as n < q**(e+1), L(D) > n at
-    every D >= e + k once q**(k-1) > 4 (e + k).
+    decreases, so the bound is the last D with min_phi(D) <= n: one walk
+    along the greedy fill, about ilog(n, q) steps.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    q = spec.q
-    e = ilog(n, q)
-    k = 1
-    while q ** (k - 1) <= 4 * (e + k):
-        k += 1
-    return bisect_right(_min_phis(spec, e + k), n, 0, e + k + 1) - 1
+    return sum(1 for _ in takewhile(n.__ge__, _min_phis(spec))) - 1
 
 
 # Residue -> digit character, so that the lanes of a product read as one
@@ -604,8 +568,10 @@ LIST_LIMIT = 2**18
 # recently used fields go first, and a build that passes the limit, or
 # raises, is not kept.  At the limit, F_2 to degree 17, the levels and the
 # sieve's own state take 31.2 MiB (tracemalloc), below the 37.1 MiB the
-# build peaks at.
+# build peaks at.  ``_BUILDS_LOCK`` guards every access, and is held
+# through a build, so that threads build each field once, one at a time.
 _BUILDS: dict[FieldSpec, tuple[Iterator, list[tuple], dict[int, tuple]]] = {}
+_BUILDS_LOCK = Lock()
 
 
 def _sieve_build(spec: FieldSpec, max_deg: int) -> list[tuple]:
@@ -613,24 +579,27 @@ def _sieve_build(spec: FieldSpec, max_deg: int) -> list[tuple]:
     of the sieve over ``spec``, from the field's cached build."""
     if max_deg < 0:
         raise ValueError(f"max_deg must be >= 0, got {max_deg}")
-    build = _BUILDS.pop(spec, None) or (_sieve_levels(spec), [], {})
-    sieve, levels, _ = build
-    if len(levels) < max_deg:
-        monics = sum(spec.q**d for d in range(1, max_deg + 1))
-        while _BUILDS and monics + sum(
-                len(phi) for _, kept, _ in _BUILDS.values()
-                for _, _, phi, _ in kept) > LIST_LIMIT:
-            del _BUILDS[next(iter(_BUILDS))]
-        levels += islice(sieve, max_deg - len(levels))
-        if monics > LIST_LIMIT:
-            return levels
-    _BUILDS[spec] = build  # last in order: the most recently used
-    return levels[:max_deg]
+    with _BUILDS_LOCK:
+        build = _BUILDS.pop(spec, None) or (_sieve_levels(spec), [], {})
+        sieve, levels, _ = build
+        if len(levels) < max_deg:
+            monics = sum(spec.q**d for d in range(1, max_deg + 1))
+            while _BUILDS and monics + sum(
+                    len(phi) for _, kept, _ in _BUILDS.values()
+                    for _, _, phi, _ in kept) > LIST_LIMIT:
+                del _BUILDS[next(iter(_BUILDS))]
+            levels += islice(sieve, max_deg - len(levels))
+            if monics > LIST_LIMIT:
+                return levels
+        _BUILDS[spec] = build  # last in order: the most recently used
+        return levels[:max_deg]
 
 
 def _sieve_values(spec: FieldSpec, max_deg: int):
     levels = _sieve_build(spec, max_deg)
-    values = _BUILDS[spec][2] if spec in _BUILDS else {}  # none past the limit
+    with _BUILDS_LOCK:
+        build = _BUILDS.get(spec)
+    values = build[2] if build else {}  # none past the limit
     if max_deg not in values:
         counts: Counter[int] = Counter()
         for _, _, phi, _ in levels:
@@ -680,11 +649,12 @@ def preimage_list(n: int, spec: FieldSpec) -> list[Poly]:
 
     The sieve's phi values are read by position, and a ``Poly`` is built
     only where phi equals n.  Raises ValueError when that means more than
-    ``LIST_LIMIT`` monics, before computing the bound; both rest on the
-    same knapsack.  Let D be the first degree at which the monics of
-    degree 1..D pass the limit.  The bound is the last degree with
-    min_phi <= n, and min_phi never decreases, so the bound reaches D
-    exactly when min_phi(D) <= n.
+    ``LIST_LIMIT`` monics, before computing the bound.  Let D be the first
+    degree at which the monics of degree 1..D pass the limit.  The bound
+    is the last degree with min_phi <= n, and min_phi never decreases, so
+    the bound reaches D exactly when min_phi(D) <= n.  That check walks D
+    steps of the greedy fill for any n, where the bound walks about
+    ilog(n, q).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -578,8 +578,9 @@ class TestEnumerationLimit:
     @pytest.mark.parametrize("command", [("preimage", "list"),
                                          ("erdos", "witness")])
     def test_refused_before_the_degree_bound(self, command):
-        # computing the degree bound first (min_phi at each of ~1000
-        # degrees) took over 30 s; 2**1000 - 1 is in the q = 2 intersection
+        # refused from min_phi at degree 18, before the degree bound (once
+        # a minimum at each of ~1000 degrees, over 30 s); 2**1000 - 1 is in
+        # the q = 2 intersection
         proc = self.run_cli(*command, "--p", "2", "--n", str(2**1000 - 1))
         assert proc.returncode == 2 and "limit" in proc.stderr
 

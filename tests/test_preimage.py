@@ -3,7 +3,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import product
+from itertools import islice, product
 from math import comb, gcd, log, prod
 
 import pytest
@@ -519,23 +519,48 @@ class TestDegreeBound:
         for d in range(1, 41):
             assert min_phi(spec, d) == self.exact_weight_min_phi(spec, d), d
 
+    @staticmethod
+    def knapsack_min_phis(spec, top):
+        # reference: entries 0..top of min_phi from one bounded knapsack on
+        # prime weight over the q-power fill, as degree_bound once ran it.
+        # Pass c over degree d allows c factors of it, and a pass that
+        # lowers nothing ends the passes over d
+        q = spec.q
+        best = [q**w for w in range(top + 1)]
+        for d in range(1, top + 1):
+            b = q**d - 1
+            for c in range(1, min(spec.pi(d), top // d) + 1):
+                lowered = False
+                for w in range(top, c * d - 1, -1):
+                    cand = best[w - d] * b
+                    if cand < best[w]:
+                        best[w] = cand
+                        lowered = True
+                if not lowered:
+                    break
+        return best
+
     @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
                                        (7, 1), (2, 3), (3, 2), (11, 1),
                                        (13, 1), (2, 4), (5, 2)])
     def test_min_phi_table_prefixes_are_fresh_tables(self, field):
-        # the table kept per q is the longest made, and every shorter
-        # request reads its prefix: each must be what a fresh knapsack at
-        # that top gives, early stop included
+        # entries 0..top of the greedy fill against a fresh knapsack at
+        # each top: entry top of that one needs no proof that the
+        # knapsack's table is the same whatever its top
         spec = FieldSpec(*field)
-        fresh = []
+        phis = list(islice(preimage._min_phis(spec), 61))
         for top in range(61):
-            preimage._MIN_PHIS.clear()
-            fresh.append(preimage._min_phis(spec, top))
-        assert [len(table) for table in fresh] == list(range(1, 62))
-        for top in range(61):
-            table = preimage._min_phis(spec, top)
-            assert table is fresh[60]
-            assert table[:top + 1] == fresh[top], top
+            assert phis[:top + 1] == self.knapsack_min_phis(spec, top), top
+
+    @pytest.mark.parametrize("field,top", [
+        ((2, 1), 200), ((3, 1), 200), ((2, 2), 200), ((5, 1), 200),
+        ((7, 1), 200), ((2, 3), 200), ((3, 2), 200), ((11, 1), 200),
+        ((13, 1), 200), ((2, 4), 200), ((17, 1), 200), ((5, 2), 60),
+        ((2, 8), 60), ((10007, 1), 60)], ids=str)
+    def test_greedy_fill_matches_the_knapsack(self, field, top):
+        spec = FieldSpec(*field)
+        expected = self.knapsack_min_phis(spec, top)
+        assert [min_phi(spec, d) for d in range(1, top + 1)] == expected[1:]
 
     @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1),
                                        (7, 1), (3, 2)])
@@ -561,11 +586,11 @@ class TestDegreeBound:
                                        (7, 1), (3, 2)])
     def test_bound_matches_float_walk_to_10_60(self, field):
         # reference: the walk of a lower bound on log L(D), stopped with a
-        # guard band, that once set the bound; min_phi from one knapsack.
+        # guard band, that once set the bound; min_phi from the knapsack.
         # The grid holds both sides of every min_phi step below 10**60.
         spec = FieldSpec(*field)
         q, top = spec.q, 10**60
-        phis = preimage._min_phis(spec, ilog(top, q) + 40)
+        phis = self.knapsack_min_phis(spec, ilog(top, q) + 40)
         rng = random.Random(11 * q)
         ns = set(range(1, 200)) | {10**k for k in range(61)}
         ns |= {q**k + e for k in range(ilog(top, q) + 1) for e in (-1, 1)}
@@ -583,10 +608,40 @@ class TestDegreeBound:
             assert degree_bound(n, spec) == last_ok, n
 
     def test_bound_at_2_300_is_fast(self, F2):
-        # one knapsack pass, not one per degree (3 s before)
+        # one walk of the greedy fill, not a minimum per degree (3 s once)
         start = time.perf_counter()
         assert degree_bound(2**300 - 1, F2) == 303
         assert time.perf_counter() - start < 1.0
+
+    def test_bound_at_2_1000(self, F2):
+        # the knapsack gave the same, in about 0.2 s
+        start = time.perf_counter()
+        assert degree_bound(2**1000 - 1, F2) == 1004
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bound_at_10_5000(self, q):
+        # between ilog(n, q), as min_phi(e) <= q**e <= n, and the degree
+        # e + k past which the bound q**D / (4 D) on every totient of
+        # degree D exceeds n
+        spec, n = FieldSpec(q), 10**5000
+        e, k = ilog(n, q), 1
+        while q ** (k - 1) <= 4 * (e + k):
+            k += 1
+        start = time.perf_counter()
+        bound = degree_bound(n, spec)
+        assert e <= bound < e + k
+        assert min_phi(spec, bound) <= n < min_phi(spec, bound + 1)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2)])
+    def test_min_phi_above_the_cli_bound(self, field):
+        # the phi refusal of the CLI reads phi(f) >= q**D / (4 D)
+        spec = FieldSpec(*field)
+        phis = list(islice(preimage._min_phis(spec), 1001))
+        assert phis[1000] == min_phi(spec, 1000)
+        for d in range(1, 1001):
+            assert phis[d] * 4 * d >= spec.q**d, d
 
     def test_bound_is_sound(self, F2):
         # no preimage of n may appear above the bound

@@ -10,15 +10,20 @@ of sieve builds that every reader goes through: each prefix of a cached
 build is a fresh shallower build in all four lists, a deeper request
 extends the kept build, a build that raised is never extended again, the
 monics kept stay within ``LIST_LIMIT``, a cold pass of every verify suite
-starts one build per field and a second pass builds nothing.  Over F_p with
-p <= 7 the sieve makes and decodes its products in batches; the last test
-holds those builds equal to the ``Poly.__mul__`` path that every other
-field takes.
+starts one build per field, a second pass builds nothing, and eight
+threads that evict each other's builds read the same counts as one
+thread.  Over F_p with p <= 7 the sieve makes and decodes its products in
+batches; the last test holds those builds equal to the ``Poly.__mul__``
+path that every other field takes.
 """
 
 import hashlib
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
+from random import Random
+from threading import Barrier
 from typing import NamedTuple
 
 import pytest
@@ -334,6 +339,66 @@ def test_second_verify_pass_builds_no_sieve(monkeypatch):
     monkeypatch.setattr(preimage, "_sieve_levels", no_sieve)
     assert verify.run_suite("all") == first
     assert retained() == kept
+
+
+# Fields and deepest degrees of the thread stress: each build alone stays
+# under the LIST_LIMIT of 3000 monics the stress sets, and together they
+# pass it, so the threads evict each other's builds.
+STRESS_DEPTHS = {(2, 1): 10, (3, 1): 6, (2, 2): 5, (5, 1): 4, (7, 1): 3,
+                 (3, 2): 3, (11, 1): 3, (13, 1): 2}
+
+
+def stress_sieve_cache(seed, threads=8, calls=40):
+    """Run ``threads`` threads of ``calls`` seeded ``phi_counts`` requests
+    each over the fields of STRESS_DEPTHS, switching threads every
+    microsecond, and check every count against a fresh build's and every
+    kept build's totals.  Set ``preimage.LIST_LIMIT`` to 3000 first so
+    that builds are evicted."""
+    rng = Random(seed)
+    fields = [(FieldSpec(*field), depth)
+              for field, depth in STRESS_DEPTHS.items()]
+    plans = [[(spec, rng.randint(1, depth))
+              for spec, depth in rng.choices(fields, k=calls)]
+             for _ in range(threads)]
+    expected = {}
+    for spec, depth in fields:
+        counts = Counter()
+        for d, (_, _, phis, _) in enumerate(
+                islice(REAL_LEVELS(spec), depth), 1):
+            counts.update(phis)
+            expected[spec, d] = list(counts.items())
+    start = Barrier(threads, timeout=10)
+
+    def run(plan):
+        start.wait()
+        return [list(phi_counts(spec, d).items()) for spec, d in plan]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(run, plans))
+    finally:
+        sys.setswitchinterval(interval)
+    for plan, got in zip(plans, results):
+        for (spec, d), counts in zip(plan, got):
+            assert counts == expected[spec, d], (spec.q, d)
+            assert sum(c for _, c in counts) == sum(
+                spec.q**e for e in range(1, d + 1)), (spec.q, d)
+    for spec, (_, levels, values) in preimage._BUILDS.items():
+        assert [len(phi) for _, _, phi, _ in levels] == [
+            spec.q**d for d in range(1, len(levels) + 1)], spec.q
+        for d, (counts, _) in values.items():
+            assert list(counts.items()) == expected[spec, d], (spec.q, d)
+    assert retained() <= preimage.LIST_LIMIT
+
+
+def test_sieve_cache_under_threads(monkeypatch):
+    # every read and write of the cache once raced: the eviction sum saw
+    # the dict change size, next(iter(_BUILDS)) met a dict another thread
+    # had emptied, and _sieve_values indexed a build just evicted
+    monkeypatch.setattr(preimage, "LIST_LIMIT", 3000)
+    stress_sieve_cache(seed=1)
 
 
 # Each invariant check must reach both kinds of reader, one that builds a
